@@ -44,6 +44,9 @@ export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 if [[ "$RUN_TESTS" == 1 ]]; then
   echo "== ci: tier-1 test suite =="
   python -m pytest -x -q
+  # The repository benchmark's own logic (perfbench/) sits outside
+  # the suite's testpaths; its tests run here beside it.
+  python -m pytest perfbench/tests -q
 fi
 
 if [[ "$RUN_SCHEMA" == 1 ]]; then

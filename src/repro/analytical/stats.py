@@ -4,9 +4,9 @@ Everything the closed-form model needs is extracted here, once per
 workload, from the already-materialised traces and the compressed-size
 sidecar the workload cache persists:
 
-* a **reuse-distance histogram** per core (Mattson stack distances,
-  computed with a Fenwick tree in O(N log N)), bucketed geometrically
-  and jointly classified by
+* a **reuse-distance histogram** per core (exact Mattson stack
+  distances, counted by a vectorised merge-sort tree in O(N log² N)
+  time and O(N) memory), bucketed geometrically and jointly classified by
 
 * **reuse class** — the address-level approximation of the LLC's
   READ/WRITE/NONE reuse metadata (an address whose beyond-L2 reuse
@@ -21,14 +21,15 @@ while pass-2 records the wrapped steady-state distances a multi-epoch
 simulation spends most of its time in.
 
 The result is cached on the workload instance (keyed by the reuse
-threshold), so a sweep evaluating thousands of policies pays the
+threshold and reach), beside each core's address factorisation and
+stack distances, so a sweep evaluating thousands of policies pays the
 extraction exactly once per workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -56,48 +57,54 @@ def _bucket_edges(max_rd: int) -> np.ndarray:
     return np.array(sorted(edges), dtype=np.float64)
 
 
-def _reuse_distances(addrs: Sequence[int], passes: int = 2) -> np.ndarray:
+def _reuse_distances(addrs, passes: int = 2) -> np.ndarray:
     """Stack (reuse) distance of every access over ``passes`` cyclic
     replays of the trace; first touches get -1 (cold).
 
-    Classic Fenwick-tree Mattson algorithm: positions of *last*
-    occurrences are marked in a BIT, the distance of an access is the
-    number of marked positions since its previous occurrence.
+    Exact offline count: access ``i`` with previous occurrence ``p``
+    has distance ``#{j in (p, i) : next[j] > i}``, computed as the
+    running count ``#{j < i : next[j] > i}`` minus the dominance count
+    ``#{j <= p : next[j] > i}``.  A merge-sort tree over positions
+    answers the latter: level ``k`` sorts ``next`` within aligned
+    blocks of ``2**k`` positions and serves, by binary search, the
+    queries whose prefix ``[0, p]`` holds such a block (bit ``k`` of
+    ``p + 1``); level 0 (block ``{p}``, ``next[p] == i``) adds nothing.
+    O(N log² N) time for N = ``len(addrs) * passes``; int32 positions
+    (N < 2**31) and one int64 level at a time peak near 56 bytes per
+    position.  Only address equality matters, so per-core ids serve.
     """
-    n = len(addrs)
-    total = n * passes
-    tree = [0] * (total + 1)
-    last_pos: Dict[int, int] = {}
-    out = np.empty(total, dtype=np.float64)
-
-    for i in range(total):
-        addr = addrs[i % n]
-        prev = last_pos.get(addr)
-        if prev is None:
-            out[i] = -1.0
-        else:
-            # distinct addresses touched strictly between prev and i
-            acc = 0
-            j = i
-            while j > 0:
-                acc += tree[j]
-                j -= j & -j
-            j = prev + 1
-            while j > 0:
-                acc -= tree[j]
-                j -= j & -j
-            out[i] = float(acc)
-            # unmark the previous occurrence
-            j = prev + 1
-            while j <= total:
-                tree[j] -= 1
-                j += j & -j
-        # mark this occurrence as the newest
-        j = i + 1
-        while j <= total:
-            tree[j] += 1
-            j += j & -j
-        last_pos[addr] = i
+    keys = np.tile(np.asarray(addrs), passes)
+    total = len(keys)
+    # next[j]: the following occurrence of j's address (``total`` if
+    # none), from one stable sort grouping each address's positions.
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    nxt = np.full(total, total, dtype=np.int32)
+    nxt[order[:-1][repeat]] = order[1:][repeat]
+    del keys, order, repeat
+    # Queries (p, i) in order of p: each level's blocks then ascend,
+    # which keeps the binary searches cache-friendly.
+    prev = np.flatnonzero(nxt < total).astype(np.int32)
+    cur = nxt[prev]
+    # #{j < i : next[j] > i} = i - 1 - #{k < i : k has a previous occurrence}
+    rd = cur - 1 - np.searchsorted(np.sort(cur), cur)
+    # The tree is built bottom-up in place over ``nxt`` (each level
+    # re-sorts rows of two sorted halves); rows are offset into int64
+    # keys (row * stride + next) so one searchsorted serves a level.
+    span = prev + 1
+    stride = total + 1
+    for k in range(1, total.bit_length()):
+        width, rows = 1 << k, total >> k
+        tree = nxt[: rows * width].reshape(rows, width)
+        tree.sort(axis=1, kind="stable")
+        offset = np.arange(rows, dtype=np.int64)[:, None] * stride
+        flat = (tree + offset).ravel()
+        q = np.flatnonzero(span & width)
+        start = span[q] & -(2 * width)  # the block [start, start + width)
+        key = (start >> k).astype(np.int64) * stride + cur[q]
+        rd[q] -= start + width - np.searchsorted(flat, key, side="right")
+    out = np.full(total, -1.0)
+    out[cur] = rd
     return out
 
 
@@ -136,13 +143,6 @@ class CoreStatistics:
             return full + counts[..., idx] * frac
         return full + counts[..., idx]
 
-    def hit_fraction(self, capacity_blocks: float) -> float:
-        """P(reuse distance < capacity) over all traffic (cold = miss)."""
-        total = self.counts.sum() + self.cold.sum()
-        if total <= 0:
-            return 0.0
-        return float(self.below(self.counts, capacity_blocks).sum() / total)
-
 
 @dataclass
 class WorkloadStatistics:
@@ -161,17 +161,50 @@ class WorkloadStatistics:
         return len(self.cores)
 
 
+@dataclass
+class _CoreTrace:
+    """One core's trace factorised once, shared by the distance pass
+    and every classification window."""
+
+    ids: np.ndarray        # (n,) int32 distinct-address index per access
+    writes: np.ndarray     # (n,) bool
+    gap_mean: float
+    sizes: np.ndarray      # (S,) distinct compressed sizes
+    ecbs: np.ndarray       # (S,) ECB bytes charged per size
+    size_of: np.ndarray    # (U,) index into ``sizes`` per distinct address
+
+
+def _factorise(trace, data_model) -> _CoreTrace:
+    uniq, ids = np.unique(np.asarray(trace.addrs), return_inverse=True)
+    pairs = np.array([data_model.size_fn(a) for a in uniq.tolist()], np.int64)
+    sizes, size_of = np.unique(pairs[:, 0], return_inverse=True)
+    ecbs = np.zeros(len(sizes), dtype=np.int64)
+    ecbs[size_of] = pairs[:, 1]
+    return _CoreTrace(
+        ids=ids.astype(np.int32),
+        writes=np.asarray(trace.writes) != 0,
+        gap_mean=float(np.asarray(trace.gaps, dtype=np.float64).mean()),
+        sizes=sizes,
+        ecbs=ecbs,
+        size_of=size_of,
+    )
+
+
+def _histogram(keys: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Counts of flat cell indices ``keys``, as a float array of ``shape``."""
+    return np.bincount(keys, minlength=int(np.prod(shape))).reshape(
+        shape).astype(np.float64)
+
+
 def _extract_core(
-    trace, data_model, core: int, reuse_threshold: int, reach: int,
+    ct: _CoreTrace, core: int, reuse_threshold: int, reach: int,
     passes: int, rds: np.ndarray,
 ) -> CoreStatistics:
-    gaps, addrs, writes = trace.replay_columns()
-    n = len(addrs)
-
-    addr_arr = np.asarray(addrs, dtype=np.int64)
-    write_arr = np.asarray(writes, dtype=bool)
-    addr_rep = np.tile(addr_arr, passes)
-    write_rep = np.tile(write_arr, passes)
+    n = len(ct.ids)
+    n_addrs = len(ct.size_of)
+    n_sizes = len(ct.sizes)
+    inv = np.tile(ct.ids, passes)
+    write_rep = np.tile(ct.writes, passes)
 
     # -- address-level reuse classification ---------------------------
     # The LLC can only classify reuse it *observes*: a block acquires
@@ -181,64 +214,37 @@ def _extract_core(
     # the reach misses and teaches the LLC nothing — those addresses
     # keep inserting as NONE.  WRITE if the block is ever written
     # (dirty spills / GetX hits mark it), READ otherwise.
-    uniq, inv = np.unique(addr_rep, return_inverse=True)
     observable = (rds >= reuse_threshold) & (rds < reuse_threshold + reach)
-    vis_count = np.bincount(inv, weights=observable.astype(np.float64),
-                            minlength=len(uniq))
-    written = np.bincount(inv, weights=write_rep.astype(np.float64),
-                          minlength=len(uniq)) > 0
-    addr_class = np.full(len(uniq), CLASS_NONE, dtype=np.int64)
-    reused = vis_count >= 1
+    reused = np.bincount(inv[observable], minlength=n_addrs) > 0
+    written = np.bincount(ct.ids[ct.writes], minlength=n_addrs) > 0
+    addr_class = np.full(n_addrs, CLASS_NONE, dtype=np.int64)
     addr_class[reused & written] = CLASS_WRITE
     addr_class[reused & ~written] = CLASS_READ
-
-    # -- compressed sizes ---------------------------------------------
-    size_fn = data_model.size_fn
-    pairs = [size_fn(int(a)) for a in uniq]
-    csize_of = np.array([p[0] for p in pairs], dtype=np.int64)
-    ecb_of = np.array([p[1] for p in pairs], dtype=np.int64)
-    sizes, size_inv = np.unique(csize_of, return_inverse=True)
-    ecbs = np.zeros(len(sizes), dtype=np.int64)
-    ecbs[size_inv] = ecb_of
 
     # -- joint histogram ----------------------------------------------
     edges = _bucket_edges(max(1, n))
     n_buckets = len(edges)
     cls = addr_class[inv]
-    sz = size_inv[inv]
+    sz = ct.size_of[inv]
     cold = rds < 0
     bucket = np.searchsorted(edges, rds, side="right") - 1
-    key = (cls * len(sizes) + sz) * n_buckets + np.clip(bucket, 0, None)
+    key = (cls * n_sizes + sz) * n_buckets + np.clip(bucket, 0, None)
 
     warm = ~cold
-    counts = np.bincount(
-        key[warm], minlength=N_CLASSES * len(sizes) * n_buckets
-    ).reshape(N_CLASSES, len(sizes), n_buckets).astype(np.float64)
-    write_counts = np.bincount(
-        key[warm & write_rep], minlength=N_CLASSES * len(sizes) * n_buckets
-    ).reshape(N_CLASSES, len(sizes), n_buckets).astype(np.float64)
-    cold_key = cls[cold] * len(sizes) + sz[cold]
-    cold_counts = np.bincount(
-        cold_key, minlength=N_CLASSES * len(sizes)
-    ).reshape(N_CLASSES, len(sizes)).astype(np.float64)
-    block_key = addr_class * len(sizes) + size_inv
-    block_counts = np.bincount(
-        block_key, minlength=N_CLASSES * len(sizes)
-    ).reshape(N_CLASSES, len(sizes)).astype(np.float64)
-
+    cells = (N_CLASSES, n_sizes, n_buckets)
     return CoreStatistics(
         core=core,
         n_accesses=n * passes,
-        gap_mean=float(np.mean(np.asarray(gaps, dtype=np.float64))),
-        write_fraction=float(write_arr.mean()),
-        footprint_blocks=len(uniq),
+        gap_mean=ct.gap_mean,
+        write_fraction=float(ct.writes.mean()),
+        footprint_blocks=n_addrs,
         edges=edges,
-        counts=counts,
-        write_counts=write_counts,
-        cold=cold_counts,
-        blocks=block_counts,
-        sizes=sizes,
-        ecbs=ecbs,
+        counts=_histogram(key[warm], cells),
+        write_counts=_histogram(key[warm & write_rep], cells),
+        cold=_histogram(cls[cold] * n_sizes + sz[cold], cells[:2]),
+        blocks=_histogram(addr_class * n_sizes + ct.size_of, cells[:2]),
+        sizes=ct.sizes,
+        ecbs=ct.ecbs,
     )
 
 
@@ -254,40 +260,33 @@ def workload_statistics(
     reuse — the capacity a policy lets *unqualified* blocks occupy,
     which is why LHybrid/TAP classify through an SRAM-sized window
     while the CA family sees the whole cache.  Cached per workload
-    instance and parameter tuple — sweeps pay the O(N log N)
-    extraction once per variant.
+    instance and parameter tuple; the per-core address factorisation
+    and stack distances depend on neither window, so all variants
+    share one of each (the distances per ``passes``).
     """
-    cache: Dict[Tuple[int, ...], Any]
-    cache = getattr(workload, _STATS_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(workload, _STATS_CACHE_ATTR, cache)
-    key = (int(reuse_threshold_blocks), int(reach_blocks), int(passes))
+    cache: Dict[Tuple[Any, ...], Any]
+    cache = vars(workload).setdefault(_STATS_CACHE_ATTR, {})
+    passes = int(passes)
+    key = (int(reuse_threshold_blocks), int(reach_blocks), passes)
     stats = cache.get(key)
     if stats is None:
-        # The O(N log N) distance computation dominates extraction and
-        # is independent of the classification window — memo it per
-        # (core, passes) so reach variants share one Fenwick pass.
-        core_rds: List[np.ndarray] = []
+        cores = []
         for core, trace in enumerate(workload.traces):
-            rd_key = ("rd", core, int(passes))
-            rds = cache.get(rd_key)
+            ct = cache.get(("trace", core))
+            if ct is None:
+                ct = cache[("trace", core)] = _factorise(
+                    trace, workload.data_model)
+            rds = cache.get(("rd", core, passes))
             if rds is None:
-                _g, addrs, _w = trace.replay_columns()
-                rds = _reuse_distances(addrs, passes=passes)
-                cache[rd_key] = rds
-            core_rds.append(rds)
-        stats = WorkloadStatistics(
-            cores=[
-                _extract_core(trace, workload.data_model, core,
-                              reuse_threshold_blocks, reach_blocks,
-                              passes, core_rds[core])
-                for core, trace in enumerate(workload.traces)
-            ],
+                rds = cache[("rd", core, passes)] = _reuse_distances(
+                    ct.ids, passes=passes)
+            cores.append(_extract_core(ct, core, reuse_threshold_blocks,
+                                       reach_blocks, passes, rds))
+        stats = cache[key] = WorkloadStatistics(
+            cores=cores,
             reuse_threshold_blocks=int(reuse_threshold_blocks),
             reach_blocks=int(reach_blocks),
-            passes=int(passes),
+            passes=passes,
             family=getattr(workload, "family", "synthetic"),
         )
-        cache[key] = stats
     return stats
