@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 
-.PHONY: ci test bench bench-parallel bench-memo bench-backend \
+.PHONY: ci test bench bench-parallel bench-memo \
 	explore bench-explore serve-smoke bench-service
 
 ci:
@@ -13,17 +13,6 @@ test:
 bench:
 	PYTHONPATH=src python -m repro bench --scale smoke \
 		--baseline benchmarks/results/BENCH_engine.json
-
-# Vectorized-backend bench: full matrix, diffed cross-backend against
-# the committed reference artefact (the ratio is the backend speedup;
-# the committed BENCH_vectorized.json records 1.5x over BENCH_engine,
-# 3.0x over the seed BENCH_baseline).  Regression beyond the
-# threshold exits non-zero.
-bench-backend:
-	PYTHONPATH=src python -m repro bench --scale smoke \
-		--backend vectorized --repeats 5 --out $$(mktemp -d) \
-		--baseline benchmarks/results/BENCH_engine.json \
-		--cross-backend --threshold 0.25
 
 # Campaign scaling bench (pool vs isolated, jobs sweep).
 bench-parallel:
@@ -50,7 +39,7 @@ bench-explore:
 # scripts/ci.sh runs.
 serve-smoke:
 	scripts/ci.sh --skip-tests --skip-bench --skip-memo --skip-schema \
-		--skip-durability --skip-backend --skip-analytical
+		--skip-durability --skip-analytical
 
 # Sharded-dispatch scaling bench: single-pool reference vs 1- and
 # 2-shard local fleets, byte-identity asserted per fleet size, gated

@@ -42,9 +42,8 @@ def run_explore_bench(
     say = progress or (lambda message: None)
     settings = ExploreSettings(space=space, confirm=confirm,
                                objective=objective)
-    backend = resolve_backend_name(settings.backend)
     say(f"explore bench: space={space} confirm={confirm} "
-        f"objective={objective} backend={backend}")
+        f"objective={objective}")
 
     with tempfile.TemporaryDirectory(prefix="repro_explore_bench_") as tmp:
         start = time.perf_counter()
@@ -68,7 +67,7 @@ def run_explore_bench(
     return {
         "schema": BENCH_SCHEMA,
         "label": label,
-        "backend": backend,
+        "backend": resolve_backend_name(),
         "created_unix": time.time(),
         "host": _host_metadata(),
         "scale": scale.name,

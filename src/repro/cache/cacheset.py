@@ -221,13 +221,13 @@ class CacheSet:
     def export_arrays(self) -> dict:
         """Snapshot of this set's per-way state as numpy arrays.
 
-        The array-kernel contract: every field a backend is allowed to
-        mutate, in a representation two backends can be diffed over
-        with ``np.array_equal`` — empty frames encode ``tags == -1``,
-        reuse as its ``ReuseClass`` integer value, the recency order as
-        the raw linked-list arrays (sentinel slot included, so the
-        full LRU→MRU sequence is reconstructable).  Read-only: the
-        arrays are fresh copies, never views of live state.
+        Every field a simulation mutates, in a representation two runs
+        can be diffed over with ``np.array_equal`` — empty frames
+        encode ``tags == -1``, reuse as its ``ReuseClass`` integer
+        value, the recency order as the raw linked-list arrays
+        (sentinel slot included, so the full LRU→MRU sequence is
+        reconstructable).  Read-only: the arrays are fresh copies,
+        never views of live state.
         """
         import numpy as np
 

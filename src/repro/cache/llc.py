@@ -541,12 +541,12 @@ class HybridLLC:
 
         Stacks every set's :meth:`CacheSet.export_arrays` field into
         one matrix per field and adds the NVM side (fault-map
-        capacities, wear byte/write accumulators).  This is the
-        cross-backend equality oracle: two backends that report the
-        same statistics but diverge in resident tags, recency links,
-        free counters or wear are caught by ``np.array_equal`` over
-        these matrices — strictly stronger than the digest, which only
-        covers reported numbers.  Read-only copies, never live views.
+        capacities, wear byte/write accumulators).  This is the state
+        equality oracle: two runs that report the same statistics but
+        diverge in resident tags, recency links, free counters or wear
+        are caught by ``np.array_equal`` over these matrices — strictly
+        stronger than the digest, which only covers reported numbers.
+        Read-only copies, never live views.
         """
         import numpy as np
 

@@ -94,7 +94,7 @@ class CampaignManifest:
     scale: str
     experiments: Tuple[str, ...]
     chaos: Optional[dict] = None       # last run's chaos settings (info only)
-    backend: Optional[str] = None      # engine backend workers run under
+    backend: Optional[str] = None      # engine provenance (always "reference")
     #: Last sharded run's fleet summary (per-shard wall clock, deaths)
     #: — mirrored from ``shards.json`` so ``repro status`` reads one
     #: file.  ``None`` for campaigns that never ran sharded.
@@ -131,21 +131,18 @@ class CampaignManifest:
         scale: str,
         experiments,
         chaos: Optional[ChaosConfig] = None,
-        backend: Optional[str] = None,
         workloads: Optional[Tuple[str, ...]] = None,
     ) -> "CampaignManifest":
+        from ..config import resolve_backend_name
+
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if backend is None:
-            from ..config import resolve_backend_name
-
-            backend = resolve_backend_name()
         manifest = cls(
             directory=directory,
             scale=scale,
             experiments=tuple(experiments),
             chaos=chaos.to_json() if chaos else None,
-            backend=backend,
+            backend=resolve_backend_name(),
             workloads=tuple(workloads) if workloads else None,
         )
         manifest.results_dir.mkdir(exist_ok=True)

@@ -269,8 +269,8 @@ class CampaignRunner:
             self.manifest.chaos = (
                 self.settings.chaos.to_json() if self.settings.chaos else None
             )
-            # Like chaos, the backend reflects the *current* run: a
-            # campaign resumed under REPRO_BACKEND=vectorized says so.
+            # Like chaos, the engine provenance reflects the *current*
+            # run (a manifest written before it was recorded has none).
             from ..config import resolve_backend_name
 
             self.manifest.backend = resolve_backend_name()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, resolve_backend_name
 from repro.core import make_policy
 from repro.engine import Simulation, Workload, run_policy_on_mix
 from repro.experiments.common import SMOKE
@@ -134,3 +134,21 @@ def test_run_policy_on_mix_helper():
     wl = small_workload()
     res = run_policy_on_mix(config, make_policy("bh"), wl, cycles=100_000)
     assert res.stats.llc.accesses > 0
+
+
+def test_phase_timings_are_reported():
+    config = small_config()
+    sim = Simulation(config, make_policy("ca_rwr"), small_workload(records=2000))
+    epoch = config.dueling.epoch_cycles
+    sim.run(cycles=epoch * 1.5, warmup_cycles=epoch * 0.5)
+    timings = sim.last_phase_timings
+    assert timings["records"] > 0
+    assert timings["total_s"] >= 0.0
+    assert timings["access_path_s"] >= 0.0
+    assert timings["epoch_bookkeeping_s"] >= 0.0
+
+
+def test_engine_provenance_is_reference():
+    """Records, manifests and bench documents stamp one engine name."""
+    sim = Simulation(small_config(), make_policy("bh"), small_workload(records=100))
+    assert sim.backend_name == resolve_backend_name() == "reference"

@@ -1,16 +1,20 @@
 """Snapshot/restore tests: split-run equivalence, gated by goldens.
 
-The warm-start contract (ISSUE 4): ``run_until(w, w)`` + snapshot +
-restore + ``run_until(total, w)`` must be *byte-identical* to the cold
+The warm-start contract: ``run_until(w, w)`` + snapshot + restore +
+``run_until(total, w)`` must be *byte-identical* to the cold
 ``run(total, warmup_cycles=w)`` — gated against the committed golden
-digests, so a divergence fails even if warm and cold drift together.
+digests, so a divergence fails even if warm and cold drift together,
+and swept over random fractional windows whose split lands mid-burst.
 """
 
 import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.golden import (
     GOLDEN_EPOCHS,
@@ -71,6 +75,57 @@ def test_snapshot_restore_matches_golden_digest(policy_name):
     # The snapshot must survive being restored twice (the store serves
     # many units from one entry) — a restore must not consume it.
     assert simulation_digest(measured_from(snap)) == GOLDENS[policy_name]
+
+
+@given(
+    policy_name=st.sampled_from(
+        ["bh", "bh_cp", "lhybrid", "tap", "ca", "ca_rwr", "cp_sd"]
+    ),
+    seed=st.integers(0, 2**16),
+    records=st.integers(500, 3000),
+    warmup_epochs=st.floats(0.0, 1.0),
+    measure_epochs=st.floats(0.25, 2.0),
+)
+@settings(max_examples=12, deadline=None)
+def test_split_run_matches_single_run_on_random_windows(
+    policy_name, seed, records, warmup_epochs, measure_epochs
+):
+    """One run vs warmup + snapshot + restore + finish: same bytes.
+
+    Fractional epoch counts put the warmup boundary (the split point)
+    and the epoch boundaries in the middle of a 64-record burst; the
+    full RunRecord payload, the exported per-way array state and the
+    trace cursors must still agree exactly.
+    """
+    profiles = [p.scaled(1 / 32) for p in mix_profiles("mix1")]
+    workload = Workload(profiles, seed=seed, trace_records_per_core=records)
+    config = SMOKE.system()
+    epoch = config.dueling.epoch_cycles
+    warmup = epoch * warmup_epochs
+    total = epoch * (warmup_epochs + measure_epochs)
+
+    def outcome(sim, result):
+        record = result.to_run_record(
+            meta={"policy": policy_name}, policy=sim.policy
+        )
+        return record.to_json(), sim.hierarchy.llc.export_state(), sim._cursors
+
+    single = Simulation(config, make_policy(policy_name), workload)
+    expected = outcome(single, single.run_until(total, warmup_until=warmup))
+
+    warm = Simulation(config, make_policy(policy_name), workload)
+    prefix = warm.run_until(warmup, warmup_until=warmup)
+    split = Simulation(config, make_policy(policy_name), workload)
+    split.restore(warm.snapshot())
+    result = split.run_until(total, warmup_until=warmup)
+    result.epochs[:0] = prefix.epochs
+    payload, state, cursors = outcome(split, result)
+
+    assert payload == expected[0]
+    assert cursors == expected[2]
+    assert sorted(state) == sorted(expected[1])
+    for name, array in expected[1].items():
+        assert np.array_equal(state[name], array), name
 
 
 def test_restore_rejects_core_count_mismatch():
