@@ -1,136 +1,12 @@
-"""Backend selection precedence: --backend > REPRO_BACKEND > default.
+"""The engine name stamped into artefacts when nothing else is set.
 
-The contract lives in :func:`repro.config.resolve_backend_name`; these
-tests pin it there *and* through every CLI entry point that launches
-simulations (simulate, bench, campaign, explore), by spying on the
-resolution call the engine makes.
+:func:`repro.config.resolve_backend_name` takes no arguments and always
+names the one engine loop; run records, campaign manifests and bench
+documents record its answer in their ``backend`` field.
 """
 
-import pytest
-
-from repro.cli import main
-from repro.config import (
-    DEFAULT_ENGINE_BACKEND,
-    REPRO_BACKEND_ENV,
-    resolve_backend_name,
-)
+from repro.config import resolve_backend_name
 
 
-# ----------------------------------------------------------------------
-# The resolution function itself
-def test_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "vectorized")
-    assert resolve_backend_name("reference") == "reference"
-
-
-def test_env_beats_default(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "vectorized")
-    assert resolve_backend_name() == "vectorized"
-    assert resolve_backend_name(None) == "vectorized"
-
-
-def test_default_when_nothing_set(monkeypatch):
-    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    assert resolve_backend_name() == DEFAULT_ENGINE_BACKEND == "reference"
-
-
-# ----------------------------------------------------------------------
-# Through the CLI entry points (spy on the engine's resolution call)
-@pytest.fixture
-def backend_calls(monkeypatch):
-    """Record every (explicit, resolved) pair the engine resolves."""
-    import repro.engine as engine
-    from repro.config import resolve_backend_name as real
-
-    calls = []
-
-    def spy(explicit=None):
-        resolved = real(explicit)
-        calls.append((explicit, resolved))
-        return resolved
-
-    monkeypatch.setattr(engine, "resolve_backend_name", spy)
-    return calls
-
-
-def test_simulate_flag_beats_env(monkeypatch, backend_calls, capsys):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "reference")
-    rc = main([
-        "--scale", "smoke", "simulate", "--mix", "mix1", "--policy", "bh",
-        "--epochs", "0.5", "--warmup-epochs", "0",
-        "--backend", "vectorized",
-    ])
-    assert rc == 0
-    assert backend_calls and backend_calls[-1] == ("vectorized", "vectorized")
-
-
-def test_simulate_env_beats_default(monkeypatch, backend_calls, capsys):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "vectorized")
-    rc = main([
-        "--scale", "smoke", "simulate", "--mix", "mix1", "--policy", "bh",
-        "--epochs", "0.5", "--warmup-epochs", "0",
-    ])
-    assert rc == 0
-    assert backend_calls and backend_calls[-1] == (None, "vectorized")
-
-
-def test_simulate_rejects_unknown_backend(capsys):
-    rc = main([
-        "--scale", "smoke", "simulate", "--mix", "mix1", "--policy", "bh",
-        "--backend", "vectorised",
-    ])
-    assert rc == 2
-    assert "vectorized" in capsys.readouterr().err  # did-you-mean
-
-
-def test_bench_flag_beats_env(monkeypatch, backend_calls, capsys, tmp_path):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "reference")
-    rc = main([
-        "--scale", "smoke", "bench", "--policies", "bh", "--mixes", "mix1",
-        "--epochs", "0.5", "--warmup-epochs", "0",
-        "--out", str(tmp_path), "--backend", "vectorized",
-    ])
-    assert rc == 0
-    assert ("vectorized", "vectorized") in backend_calls
-    # a non-reference backend names its own artefact
-    assert (tmp_path / "BENCH_vectorized.json").exists()
-
-
-def test_campaign_exports_flag_to_workers(monkeypatch, capsys, tmp_path):
-    # Workers inherit the environment: --backend must land in
-    # REPRO_BACKEND *before* the runner spawns them, overriding any
-    # value the parent shell had.
-    import repro.harness as harness
-
-    exported = {}
-
-    class StubRunner:
-        def __init__(self, *args, **kwargs):
-            import os
-
-            exported["backend"] = os.environ.get(REPRO_BACKEND_ENV)
-            raise harness.CampaignConfigError("stub: stop before running")
-
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "reference")
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "rc"))
-    monkeypatch.setattr(harness, "CampaignRunner", StubRunner)
-    rc = main([
-        "--scale", "smoke", "campaign", "--out", str(tmp_path / "camp"),
-        "--experiments", "fig6", "--backend", "vectorized",
-    ])
-    assert rc == 2  # the stub aborts the run after the env is staged
-    assert exported["backend"] == "vectorized"
-
-
-def test_explore_flag_beats_env(monkeypatch, backend_calls, capsys, tmp_path):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "reference")
-    rc = main([
-        "--scale", "smoke", "explore", "--out", str(tmp_path / "exp"),
-        "--space", "tiny", "--confirm", "1", "--backend", "vectorized",
-    ])
-    assert rc == 0
-    # the confirm tier's simulations resolved the explicit flag value
-    confirm_calls = [c for c in backend_calls if c[0] == "vectorized"]
-    assert confirm_calls and all(
-        resolved == "vectorized" for _e, resolved in confirm_calls)
+def test_default_when_nothing_set():
+    assert resolve_backend_name() == "reference"

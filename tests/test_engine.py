@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SystemConfig, resolve_backend_name
+from repro.config import SystemConfig
 from repro.core import make_policy
 from repro.engine import Simulation, Workload, run_policy_on_mix
 from repro.experiments.common import SMOKE
@@ -146,9 +146,3 @@ def test_phase_timings_are_reported():
     assert timings["total_s"] >= 0.0
     assert timings["access_path_s"] >= 0.0
     assert timings["epoch_bookkeeping_s"] >= 0.0
-
-
-def test_engine_provenance_is_reference():
-    """Records, manifests and bench documents stamp one engine name."""
-    sim = Simulation(small_config(), make_policy("bh"), small_workload(records=100))
-    assert sim.backend_name == resolve_backend_name() == "reference"

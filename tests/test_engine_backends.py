@@ -1,272 +1,24 @@
-"""Engine-backend contract tests: selection, fallback, byte-identity.
+"""The engine's provenance name.
 
-The backend interface (``repro.engine_backends``) promises that the
-choice of execution strategy is *unobservable* in the results: every
-backend replays the same burst-64 heap schedule and produces the same
-statistics, epoch records, IPCs and post-run cache state.  These tests
-pin that promise three ways:
-
-* the committed golden digests must come out of the ``vectorized``
-  backend unchanged (the same gate ``scripts/ci.sh`` runs);
-* snapshots must round-trip *across* backends — warm up under one,
-  restore and finish under the other, still byte-identical;
-* a hypothesis sweep drives random short windows (crossing epoch and
-  warmup boundaries mid-burst) through both backends and compares the
-  full ``RunRecord`` payload plus the exported array state.
+There is one simulation driver (``Simulation._run``).  Its name is
+still recorded as ``backend`` in run records, so a simulation must
+report the same name that :func:`repro.config.resolve_backend_name`
+stamps into manifests and bench documents.
 """
 
-import dataclasses
-import json
-from pathlib import Path
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.bench.golden import (
-    GOLDEN_EPOCHS,
-    GOLDEN_POLICIES,
-    GOLDEN_WARMUP_EPOCHS,
-    compute_golden_digests,
-    simulation_digest,
-)
-from repro.config import (
-    DEFAULT_ENGINE_BACKEND,
-    REPRO_BACKEND_ENV,
-    resolve_backend_name,
-)
-from repro.cache.cacheset import NVM, SRAM
+from repro.config import resolve_backend_name
 from repro.core import make_policy
-from repro.core.policy import InsertionPolicy
 from repro.engine import Simulation, Workload
-from repro.engine_backends import (
-    EngineBackend,
-    ReferenceBackend,
-    VectorizedBackend,
-    backend_names,
-    make_backend,
-)
 from repro.experiments.common import SMOKE
 from repro.workloads.mixes import mix_profiles
 
-GOLDENS = json.loads(
-    (Path(__file__).parent / "goldens" / "determinism.json").read_text()
-)
 
-BACKENDS = ("reference", "vectorized")
-
-
-def small_workload(mix="mix1", records=4000, seed=0):
+def small_workload(mix="mix1", records=100, seed=0):
     profiles = [p.scaled(1 / 32) for p in mix_profiles(mix)]
     return Workload(profiles, seed=seed, trace_records_per_core=records)
 
 
-def make_sim(policy_name, backend, records=4000, seed=0, **policy_kwargs):
-    return Simulation(
-        SMOKE.system(),
-        make_policy(policy_name, **policy_kwargs),
-        small_workload(records=records, seed=seed),
-        backend=backend,
-    )
-
-
-# ----------------------------------------------------------------------
-# selection and registry
-# ----------------------------------------------------------------------
-def test_registry_lists_builtin_backends():
-    names = backend_names()
-    assert "reference" in names and "vectorized" in names
-
-
-def test_make_backend_rejects_unknown_names():
-    sim = make_sim("bh", None, records=100)
-    with pytest.raises(KeyError, match="reference"):
-        make_backend("simd-gpu", sim)
-
-
-def test_simulation_rejects_unknown_backend():
-    with pytest.raises(KeyError):
-        make_sim("bh", "no-such-backend", records=100)
-
-
-def test_resolution_chain(monkeypatch):
-    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    assert resolve_backend_name() == DEFAULT_ENGINE_BACKEND == "reference"
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "vectorized")
-    assert resolve_backend_name() == "vectorized"
-    # An explicit argument beats the environment.
-    assert resolve_backend_name("reference") == "reference"
-
-
-def test_env_selects_backend_for_simulation(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "vectorized")
-    sim = make_sim("bh", None, records=100)
-    assert sim.backend_name == "vectorized"
-    assert isinstance(sim._backend, VectorizedBackend)
-
-
-def test_default_backend_is_reference(monkeypatch):
-    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    sim = make_sim("bh", None, records=100)
+def test_default_backend_is_reference():
+    sim = Simulation(SMOKE.system(), make_policy("bh"), small_workload())
     assert sim.backend_name == "reference"
-    assert isinstance(sim._backend, ReferenceBackend)
-    assert isinstance(sim._backend, EngineBackend)
-
-
-# ----------------------------------------------------------------------
-# byte-identity against the committed goldens
-# ----------------------------------------------------------------------
-def test_vectorized_backend_matches_committed_goldens():
-    computed = compute_golden_digests(backend="vectorized")
-    mismatches = {
-        policy: (GOLDENS.get(policy), digest)
-        for policy, digest in computed.items()
-        if GOLDENS.get(policy) != digest
-    }
-    assert not mismatches, (
-        "vectorized backend diverged from the committed goldens "
-        f"(policy -> (committed, computed)): {mismatches}"
-    )
-
-
-def test_phase_timings_are_reported():
-    for backend in BACKENDS:
-        sim = make_sim("ca_rwr", backend, records=2000)
-        epoch = sim.config.dueling.epoch_cycles
-        sim.run(cycles=epoch * 1.5, warmup_cycles=epoch * 0.5)
-        timings = sim.last_phase_timings
-        assert timings["records"] > 0
-        assert timings["total_s"] >= 0.0
-        assert timings["access_path_s"] >= 0.0
-        assert timings["epoch_bookkeeping_s"] >= 0.0
-        assert "fallback" not in timings, backend
-
-
-# ----------------------------------------------------------------------
-# scalar fallback on unrecognised policies
-# ----------------------------------------------------------------------
-class _OpaquePolicy(InsertionPolicy):
-    """A policy type the vectorized kernel has never heard of."""
-
-    name = "opaque-test-policy"
-
-    def placement(self, cache_set, ctx):
-        return (NVM, SRAM)  # an order the kernel's dispatch can't guess
-
-
-def _opaque_run(backend):
-    sim = Simulation(
-        SMOKE.system(),
-        _OpaquePolicy(),
-        small_workload(records=2000),
-        backend=backend,
-    )
-    epoch = sim.config.dueling.epoch_cycles
-    result = sim.run(cycles=epoch * 1.5, warmup_cycles=epoch * 0.5)
-    return sim, result
-
-
-def test_unknown_policy_falls_back_to_reference():
-    ref_sim, ref_result = _opaque_run("reference")
-    vec_sim, vec_result = _opaque_run("vectorized")
-    assert vec_sim.last_phase_timings.get("fallback") == 1.0
-    assert simulation_digest(vec_result) == simulation_digest(ref_result)
-
-
-# ----------------------------------------------------------------------
-# snapshots round-trip across backends
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("warm_backend,finish_backend",
-                         [("reference", "vectorized"),
-                          ("vectorized", "reference")])
-@pytest.mark.parametrize("policy_name", GOLDEN_POLICIES)
-def test_snapshot_round_trips_across_backends(
-    policy_name, warm_backend, finish_backend
-):
-    """Warm up under one backend, finish under the other — still golden."""
-    from repro.bench.golden import (
-        GOLDEN_RECORDS_PER_CORE,
-        GOLDEN_SCALE_FACTOR,
-        GOLDEN_SEED,
-        GOLDEN_MIX,
-    )
-
-    def golden_workload():
-        profiles = [
-            p.scaled(GOLDEN_SCALE_FACTOR) for p in mix_profiles(GOLDEN_MIX)
-        ]
-        return Workload(
-            profiles, seed=GOLDEN_SEED,
-            trace_records_per_core=GOLDEN_RECORDS_PER_CORE,
-        )
-
-    config = SMOKE.system()
-    epoch = config.dueling.epoch_cycles
-    warmup = epoch * GOLDEN_WARMUP_EPOCHS
-    total = epoch * (GOLDEN_WARMUP_EPOCHS + GOLDEN_EPOCHS)
-
-    warm = Simulation(
-        config, make_policy(policy_name), golden_workload(),
-        backend=warm_backend,
-    )
-    prefix = warm.run_until(warmup, warmup_until=warmup)
-    snap = warm.snapshot()
-
-    finish = Simulation(
-        config, make_policy(policy_name), golden_workload(),
-        backend=finish_backend,
-    )
-    finish.restore(snap)
-    result = finish.run_until(total, warmup_until=warmup)
-    result.epochs[:0] = [dataclasses.replace(e) for e in prefix.epochs]
-    assert simulation_digest(result) == GOLDENS[policy_name]
-
-
-# ----------------------------------------------------------------------
-# hypothesis sweep: random windows through both backends (satellite 3)
-# ----------------------------------------------------------------------
-@given(
-    policy_name=st.sampled_from(
-        ["bh", "bh_cp", "lhybrid", "tap", "ca", "ca_rwr", "cp_sd"]
-    ),
-    seed=st.integers(0, 2**16),
-    records=st.integers(500, 3000),
-    warmup_epochs=st.floats(0.0, 1.0),
-    measure_epochs=st.floats(0.25, 2.0),
-)
-@settings(max_examples=12, deadline=None)
-def test_backends_agree_on_random_windows(
-    policy_name, seed, records, warmup_epochs, measure_epochs
-):
-    """Random (policy, seed, window) → identical records and state.
-
-    Fractional epoch counts land the warmup and epoch boundaries in
-    the middle of bursts, which is exactly where a batched kernel can
-    get the boundary cut wrong; the full RunRecord payload and the
-    exported per-way array state must still agree bit-for-bit.
-    """
-    import numpy as np
-
-    outcomes = {}
-    for backend in BACKENDS:
-        sim = make_sim(policy_name, backend, records=records, seed=seed)
-        epoch = sim.config.dueling.epoch_cycles
-        result = sim.run(
-            cycles=epoch * (warmup_epochs + measure_epochs),
-            warmup_cycles=epoch * warmup_epochs,
-        )
-        record = result.to_run_record(
-            meta={"policy": policy_name}, policy=sim.policy
-        )
-        outcomes[backend] = (
-            record.to_json(),
-            sim.hierarchy.llc.export_state(),
-            sim._cursors,
-        )
-    ref_payload, ref_state, ref_cursors = outcomes["reference"]
-    vec_payload, vec_state, vec_cursors = outcomes["vectorized"]
-    assert vec_payload == ref_payload
-    assert vec_cursors == ref_cursors
-    assert sorted(vec_state) == sorted(ref_state)
-    for field in ref_state:
-        assert np.array_equal(vec_state[field], ref_state[field]), field
+    assert sim.backend_name == resolve_backend_name()
