@@ -103,10 +103,9 @@ class Workload:
             if sizes is not None:
                 self.data_model.preload_sizes(sizes)
             else:
-                self.data_model.prefetch_sizes(trace.addrs)
                 save_sizes_sidecar(
                     prof, core, seed, trace_records_per_core,
-                    self.data_model.sizes_for(set(trace.addrs)),
+                    self.data_model.sizes_for(trace.addrs),
                     family=family,
                 )
 

@@ -55,11 +55,10 @@ def classify_app(app_name: str, n_blocks: int = 512, seed: int = 0) -> Compressi
 
     prof = profile(app_name)
     model = DataModel([prof], seed=seed)
-    gen = AppTraceGenerator(prof, core_id=0, seed=seed)
+    trace = AppTraceGenerator(prof, core_id=0, seed=seed).take(n_blocks)
     counts: Dict[str, int] = {"hcr": 0, "lcr": 0, "incompressible": 0}
-    for _ in range(n_blocks):
-        record = next(gen)
-        block = model.block_bytes(record.addr)
+    for addr in trace.addrs:
+        block = model.block_bytes(addr)
         result = DEFAULT_COMPRESSOR.compress(block)
         counts[classify(result.size)] += 1
     return CompressibilityRow(

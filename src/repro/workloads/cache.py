@@ -131,7 +131,7 @@ def load_or_materialize(
     """Return the trace for one core, via the disk cache when enabled.
 
     With ``REPRO_TRACE_CACHE`` unset this is exactly
-    ``materialize(AppTraceGenerator(...), n_records)``; with it set,
+    ``AppTraceGenerator(...).take(n_records)``; with it set,
     a hit deserialises the identical columns from disk and a miss
     generates then stores them atomically.
     """

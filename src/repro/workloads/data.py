@@ -39,6 +39,16 @@ _ADDR_MASK = (1 << CORE_ADDR_SHIFT) - 1
 Cdf = Tuple[List[float], List[int]]
 
 
+def _unique_ints(addrs) -> Dict[int, None]:
+    """``addrs`` deduplicated in first-occurrence order, as native ints.
+
+    Mmap-backed traces hold NumPy columns, whose scalars the PRNG seed
+    cannot accept (and which would otherwise leak in as memo keys).
+    """
+    tolist = getattr(addrs, "tolist", None)
+    return dict.fromkeys(tolist() if tolist is not None else map(int, addrs))
+
+
 def _split_compressibility(profile: AppProfile) -> Tuple[float, float]:
     """Compressible fractions (hot, cold) preserving the aggregate."""
     c = 1.0 - profile.incompressible_fraction
@@ -86,6 +96,12 @@ class DataModel:
         self.profiles = list(profiles)
         self.seed = seed
         self._sizes: Dict[int, Tuple[int, int]] = {}
+        # One generator re-seeded per drawn address.  The C-level seed
+        # (the base class's) resets the whole MT state, as a fresh
+        # ``random.Random(key)`` would, without the Python wrapper.
+        rng = random.Random()
+        self._reseed = super(random.Random, rng).seed
+        self._uniform = rng.random
         self._library = PatternLibrary(seed=seed ^ 0x5EED, pool_size=pool_size)
         self._hot_cdf: List[Cdf] = []
         self._cold_cdf: List[Cdf] = []
@@ -120,8 +136,9 @@ class DataModel:
             cum, sizes = self._hot_cdf[core]
         else:
             cum, sizes = self._cold_cdf[core]
-        u = random.Random((addr << 8) ^ self.seed).random()
-        return sizes[bisect_left(cum, u)]
+        # Exactly ``random.Random((addr << 8) ^ seed).random()``.
+        self._reseed((addr << 8) ^ self.seed)
+        return sizes[bisect_left(cum, self._uniform())]
 
     def size_fn(self, addr: int) -> Tuple[int, int]:
         """(compressed size, ECB size) of the block at ``addr``."""
@@ -139,20 +156,17 @@ class DataModel:
         """Warm the size memo for ``addrs`` (any iterable of block
         addresses).
 
-        Drawing a size seeds a fresh :class:`random.Random` per new
-        address — cheap once, but when it happens lazily the whole cost
-        lands inside the first *compressed-policy* simulation replaying
-        a trace.  Warming at workload-build time moves it to where it
-        belongs; the draws themselves are unchanged (pure function of
-        address and seed).
+        Drawing a size re-seeds a PRNG per new address — cheap once,
+        but when it happens lazily the whole cost lands inside the
+        first *compressed-policy* simulation replaying a trace.
+        Warming at workload-build time moves it to where it belongs;
+        the draws themselves are unchanged (pure function of address
+        and seed).  Addresses are deduplicated in first-occurrence
+        order, so the memo fills in the order a lazy replay would.
         """
         sizes = self._sizes
         draw = self._draw_size
-        for addr in addrs:
-            # Native int: mmap-backed traces iterate as NumPy scalars,
-            # which the PRNG seed below cannot accept (and which would
-            # otherwise leak in as memo keys).
-            addr = int(addr)
+        for addr in _unique_ints(addrs):
             if addr not in sizes:
                 csize = draw(addr)
                 sizes[addr] = (csize, ecb_size(csize))
@@ -176,18 +190,10 @@ class DataModel:
         are prefetched, this snapshots exactly the entries a later
         :meth:`preload_sizes` needs to reproduce them.
         """
+        addrs = _unique_ints(addrs)
+        self.prefetch_sizes(addrs)
         sizes = self._sizes
-        draw = self._draw_size
-        out: Dict[int, Tuple[int, int]] = {}
-        for addr in addrs:
-            addr = int(addr)
-            entry = sizes.get(addr)
-            if entry is None:
-                csize = draw(addr)
-                entry = (csize, ecb_size(csize))
-                sizes[addr] = entry
-            out[addr] = entry
-        return out
+        return {addr: sizes[addr] for addr in addrs}
 
     # ------------------------------------------------------------------
     def block_bytes(self, addr: int) -> bytes:

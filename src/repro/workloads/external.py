@@ -258,7 +258,7 @@ def import_trace(
         durable_replace(tmp, trc_path)
         trace_shas[trc_path.name] = file_sha256(trc_path)
         sizes_path = target_dir / f"core{core}.sizes"
-        write_sizes_file(sizes_path, model.sizes_for(set(trace.addrs)))
+        write_sizes_file(sizes_path, model.sizes_for(trace.addrs))
         sizes_shas[sizes_path.name] = file_sha256(sizes_path)
 
     identity = {

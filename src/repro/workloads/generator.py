@@ -24,17 +24,32 @@ then behaves like that region:
 
 Gaps between accesses are exponential with the profile's mean, giving
 the analytical core model a realistic arrival process.
+
+:meth:`AppTraceGenerator.take` is the one generator: a single inlined
+loop whose ``random.Random`` calls are the stream's contract.  Per
+record, in order:
+
+1. the phase countdown (no draw);
+2. an owed read-modify-write emits its write and one gap draw;
+3. otherwise one ``random()`` picks the region, then the region draws:
+   stream ``random()`` for the write flag, or for rw/random the
+   ``getrandbits(n.bit_length())`` rejection loop of CPython's
+   ``randrange(n)`` followed by the write ``random()``;
+4. the gap, ``int(-log(1.0 - random()) / lambd)`` (CPython's
+   ``expovariate``).
+
+Changing any of this moves every trace: bump
+:data:`~repro.workloads.cache.GENERATOR_VERSION` when it changes.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from array import array
+from math import log
 
 from .profiles import AppProfile
-from .trace import CORE_ADDR_SHIFT, TraceRecord
-
-_LOOP, _SCAN, _STREAM, _RW, _RANDOM = range(5)
+from .trace import CORE_ADDR_SHIFT, MaterializedTrace
 
 
 class AppTraceGenerator:
@@ -76,63 +91,109 @@ class AppTraceGenerator:
         self._rw_pending_write = 0  # address owed a write (read-modify-write)
 
     # ------------------------------------------------------------------
-    def _gap(self) -> int:
-        return int(self._rng.expovariate(1.0 / self.profile.gap_mean))
+    def take(self, n_records: int) -> MaterializedTrace:
+        """The next ``n_records`` records of the stream.
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self
-
-    def _advance_phase(self) -> None:
-        self._phase = (self._phase + 1) % self.profile.n_phases
-        self._accesses_left_in_phase = self.profile.phase_accesses
-        self._loop_pos = 0
-        self._scan_pos = 0
-
-    def __next__(self) -> TraceRecord:
-        rng = self._rng
+        All stream state lives on ``self``, so ``take(a)`` then
+        ``take(b)`` yields exactly the records of ``take(a + b)``.
+        """
+        if n_records < 1:
+            raise ValueError("empty trace")
         profile = self.profile
+        rng = self._rng
+        rand = rng.random
+        getrandbits = rng.getrandbits
+        lambd = 1.0 / profile.gap_mean
+        c_loop, c_scan, c_stream, c_rw, _ = self._cum
+        n_phases = profile.n_phases
+        phase_accesses = profile.phase_accesses
+        loop_blocks = profile.loop_blocks
+        scan_blocks = profile.scan_blocks
+        rw_blocks = profile.rw_blocks
+        random_blocks = profile.random_blocks
+        rw_bits = rw_blocks.bit_length()
+        random_bits = random_blocks.bit_length()
+        stream_blocks = self._stream_blocks
+        stream_base = self._stream_base
+        random_base = self._random_base
+        stream_write_frac = profile.stream_write_frac
+        rw_write_frac = profile.rw_write_frac
+        random_write_frac = profile.random_write_frac
 
-        self._accesses_left_in_phase -= 1
-        if self._accesses_left_in_phase <= 0:
-            self._advance_phase()
         phase = self._phase
+        left = self._accesses_left_in_phase
+        loop_pos = self._loop_pos
+        scan_pos = self._scan_pos
+        stream_pos = self._stream_pos
+        pending = self._rw_pending_write
+        loop_slot = self._loop_base + phase * loop_blocks
+        scan_slot = self._scan_base + phase * scan_blocks
+        rw_slot = self._rw_base + phase * rw_blocks
 
-        if self._rw_pending_write:
-            addr = self._rw_pending_write
-            self._rw_pending_write = 0
-            return TraceRecord(self._gap(), addr, True)
+        gaps = [0] * n_records
+        addrs = [0] * n_records
+        writes = bytearray(n_records)
+        for i in range(n_records):
+            left -= 1
+            if left <= 0:
+                phase = (phase + 1) % n_phases
+                left = phase_accesses
+                loop_pos = scan_pos = 0
+                loop_slot = self._loop_base + phase * loop_blocks
+                scan_slot = self._scan_base + phase * scan_blocks
+                rw_slot = self._rw_base + phase * rw_blocks
 
-        u = rng.random()
-        cum = self._cum
-        if u < cum[_LOOP]:
-            addr = self._loop_base + phase * profile.loop_blocks + self._loop_pos
-            self._loop_pos += 1
-            if self._loop_pos >= profile.loop_blocks:
-                self._loop_pos = 0
-            return TraceRecord(self._gap(), addr, False)
-        if u < cum[_SCAN]:
-            addr = self._scan_base + phase * profile.scan_blocks + self._scan_pos
-            self._scan_pos += 1
-            if self._scan_pos >= profile.scan_blocks:
-                self._scan_pos = 0
-            return TraceRecord(self._gap(), addr, False)
-        if u < cum[_STREAM]:
-            addr = self._stream_base + self._stream_pos
-            self._stream_pos += 1
-            if self._stream_pos >= self._stream_blocks:
-                self._stream_pos = 0
-            is_write = rng.random() < profile.stream_write_frac
-            return TraceRecord(self._gap(), addr, is_write)
-        if u < cum[_RW]:
-            addr = (
-                self._rw_base
-                + phase * profile.rw_blocks
-                + rng.randrange(profile.rw_blocks)
-            )
-            if rng.random() < profile.rw_write_frac:
-                # read-modify-write: the write follows on the next record
-                self._rw_pending_write = addr
-            return TraceRecord(self._gap(), addr, False)
-        addr = self._random_base + rng.randrange(profile.random_blocks)
-        is_write = rng.random() < profile.random_write_frac
-        return TraceRecord(self._gap(), addr, is_write)
+            if pending:
+                addr = pending
+                pending = 0
+                writes[i] = 1
+            else:
+                u = rand()
+                if u < c_loop:
+                    addr = loop_slot + loop_pos
+                    loop_pos += 1
+                    if loop_pos >= loop_blocks:
+                        loop_pos = 0
+                elif u < c_scan:
+                    addr = scan_slot + scan_pos
+                    scan_pos += 1
+                    if scan_pos >= scan_blocks:
+                        scan_pos = 0
+                elif u < c_stream:
+                    addr = stream_base + stream_pos
+                    stream_pos += 1
+                    if stream_pos >= stream_blocks:
+                        stream_pos = 0
+                    if rand() < stream_write_frac:
+                        writes[i] = 1
+                elif u < c_rw:
+                    if rw_blocks <= 0:
+                        raise ValueError("empty range for randrange()")
+                    r = getrandbits(rw_bits)
+                    while r >= rw_blocks:
+                        r = getrandbits(rw_bits)
+                    addr = rw_slot + r
+                    if rand() < rw_write_frac:
+                        # read-modify-write: the write follows on the next record
+                        pending = addr
+                else:
+                    if random_blocks <= 0:
+                        raise ValueError("empty range for randrange()")
+                    r = getrandbits(random_bits)
+                    while r >= random_blocks:
+                        r = getrandbits(random_bits)
+                    addr = random_base + r
+                    if rand() < random_write_frac:
+                        writes[i] = 1
+            gaps[i] = int(-log(1.0 - rand()) / lambd)
+            addrs[i] = addr
+
+        self._phase = phase
+        self._accesses_left_in_phase = left
+        self._loop_pos = loop_pos
+        self._scan_pos = scan_pos
+        self._stream_pos = stream_pos
+        self._rw_pending_write = pending
+        return MaterializedTrace.from_columns(
+            array("Q", gaps), array("Q", addrs), writes
+        )

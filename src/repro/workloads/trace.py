@@ -3,9 +3,10 @@
 A trace is a sequence of ``(gap, block_addr, is_write)`` records: the
 number of non-memory instructions since the previous access, the
 block-aligned address (already shifted by log2(64)), and the access
-type.  Generators yield records lazily; a :class:`MaterializedTrace`
-freezes a prefix so the *same* reference stream can be replayed
-against many policies (the per-figure sweeps depend on this).
+type.  A generator's ``take(n)`` returns the next ``n`` records as a
+:class:`MaterializedTrace`, which freezes them so the *same* reference
+stream can be replayed against many policies (the per-figure sweeps
+depend on this).
 
 Storage is columnar: three flat parallel arrays (``array('Q')`` gaps,
 ``array('Q')`` addresses, ``bytearray`` write flags) indexed by a
@@ -19,7 +20,7 @@ remain as compatibility views for code that still wants record tuples.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 #: Address bits reserved per core: app address spaces are disjoint,
 #: mirroring multi-programmed (no-sharing) SPEC mixes.
@@ -132,15 +133,11 @@ class MaterializedTrace:
         return sum(self.writes) / len(self.writes)
 
 
-def materialize(source: Iterable[TraceRecord], n_records: int) -> MaterializedTrace:
-    """Capture the first ``n_records`` records of a generator."""
-    gaps = array("Q")
-    addrs = array("Q")
-    writes = bytearray()
-    it = iter(source)
-    for _ in range(n_records):
-        gap, addr, is_write = next(it)
-        gaps.append(gap)
-        addrs.append(addr)
-        writes.append(1 if is_write else 0)
-    return MaterializedTrace.from_columns(gaps, addrs, writes)
+def materialize(generator, n_records: int) -> MaterializedTrace:
+    """``generator.take(n_records)``: every generated trace passes here.
+
+    The one named point where a trace is generated rather than loaded,
+    which the repository benchmark's per-layer hooks
+    (``perfbench/hooks.py``) count as a cold build.
+    """
+    return generator.take(n_records)

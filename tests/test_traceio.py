@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.workloads.generator import AppTraceGenerator
 from repro.workloads.profiles import profile
-from repro.workloads.trace import MaterializedTrace, TraceRecord, materialize
+from repro.workloads.trace import MaterializedTrace, TraceRecord
 from repro.workloads.traceio import (
     load_trace,
     load_trace_csv,
@@ -18,8 +18,7 @@ from repro.workloads.traceio import (
 
 
 def sample_trace(n=200):
-    gen = AppTraceGenerator(profile("mcf17").scaled(1 / 32), 2, seed=7)
-    return materialize(gen, n)
+    return AppTraceGenerator(profile("mcf17").scaled(1 / 32), 2, seed=7).take(n)
 
 
 def test_binary_roundtrip(tmp_path):

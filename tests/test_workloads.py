@@ -96,21 +96,16 @@ def test_hot_region_properties():
 # ----------------------------------------------------------------------
 def test_generator_deterministic():
     prof = profile("mcf17").scaled(1 / 16)
-    gen_a = AppTraceGenerator(prof, 1, seed=5)
-    a = [next(gen_a) for _ in range(50)]
-    gen_b = AppTraceGenerator(prof, 1, seed=5)
-    b = [next(gen_b) for _ in range(50)]
+    a = AppTraceGenerator(prof, 1, seed=5).take(50).records
+    b = AppTraceGenerator(prof, 1, seed=5).take(50).records
     assert a == b
-    gen_c = AppTraceGenerator(prof, 1, seed=6)
-    c = [next(gen_c) for _ in range(50)]
+    c = AppTraceGenerator(prof, 1, seed=6).take(50).records
     assert a != c
 
 
 def test_generator_addresses_in_core_slice():
     prof = profile("lbm17").scaled(1 / 16)
-    gen = AppTraceGenerator(prof, core_id=2, seed=0)
-    for _ in range(2000):
-        record = next(gen)
+    for record in AppTraceGenerator(prof, core_id=2, seed=0).take(2000).records:
         assert record.addr >> CORE_ADDR_SHIFT == 2
         offset = record.addr & ((1 << CORE_ADDR_SHIFT) - 1)
         assert offset < prof.footprint_blocks
@@ -118,18 +113,18 @@ def test_generator_addresses_in_core_slice():
 
 def test_generator_write_fraction_sane():
     prof = profile("lbm17").scaled(1 / 16)  # write-streaming app
-    gen = AppTraceGenerator(prof, 0, seed=1)
-    writes = sum(1 for _ in range(5000) if next(gen).is_write)
+    writes = sum(AppTraceGenerator(prof, 0, seed=1).take(5000).writes)
     assert 0.05 < writes / 5000 < 0.6
 
 
 def test_generator_phases_shift_loop_region():
     prof = profile("zeusmp06").scaled(1 / 16)
-    gen = AppTraceGenerator(prof, 0, seed=2)
+    trace = AppTraceGenerator(prof, 0, seed=2).take(
+        prof.phase_accesses * prof.n_phases + 10
+    )
     seen_loop_bases = set()
-    for _ in range(prof.phase_accesses * prof.n_phases + 10):
-        record = next(gen)
-        offset = record.addr & ((1 << CORE_ADDR_SHIFT) - 1)
+    for addr in trace.addrs:
+        offset = addr & ((1 << CORE_ADDR_SHIFT) - 1)
         if offset < prof.n_phases * prof.loop_blocks:
             seen_loop_bases.add(offset // prof.loop_blocks)
     assert len(seen_loop_bases) == prof.n_phases  # all phase slots used
@@ -137,8 +132,7 @@ def test_generator_phases_shift_loop_region():
 
 def test_gap_distribution_mean():
     prof = profile("gobmk06").scaled(1 / 16)  # gap_mean 28
-    gen = AppTraceGenerator(prof, 0, seed=3)
-    gaps = [next(gen).gap for _ in range(6000)]
+    gaps = AppTraceGenerator(prof, 0, seed=3).take(6000).gaps
     mean = sum(gaps) / len(gaps)
     assert 0.7 * prof.gap_mean < mean < 1.3 * prof.gap_mean
 
@@ -150,6 +144,7 @@ def test_materialize_and_cycle():
     prof = profile("astar06").scaled(1 / 16)
     trace = materialize(AppTraceGenerator(prof, 0, seed=0), 100)
     assert len(trace) == 100
+    assert trace.records == AppTraceGenerator(prof, 0, seed=0).take(100).records
     player = trace.player()
     first_pass = [next(player) for _ in range(100)]
     second_pass = [next(player) for _ in range(100)]
@@ -158,7 +153,7 @@ def test_materialize_and_cycle():
 
 def test_trace_stats():
     prof = profile("astar06").scaled(1 / 16)
-    trace = materialize(AppTraceGenerator(prof, 0, seed=0), 500)
+    trace = AppTraceGenerator(prof, 0, seed=0).take(500)
     assert 0 < trace.footprint() <= 500
     assert 0.0 <= trace.write_fraction() <= 1.0
 
@@ -212,10 +207,10 @@ def test_data_model_aggregate_matches_profile():
     """Traffic-weighted compressibility stays on the Fig. 2 split."""
     prof = profile("soplex06").scaled(1 / 16)
     m = DataModel([prof], seed=2)
-    gen = AppTraceGenerator(prof, 0, seed=2)
     n = 4000
     compressible = sum(
-        1 for _ in range(n) if m.compressed_size(next(gen).addr) < 64
+        1 for addr in AppTraceGenerator(prof, 0, seed=2).take(n).addrs
+        if m.compressed_size(addr) < 64
     )
     target = 1.0 - prof.incompressible_fraction
     assert abs(compressible / n - target) < 0.1
