@@ -39,7 +39,8 @@ record, in order:
    ``expovariate``).
 
 Changing any of this moves every trace: bump
-:data:`~repro.workloads.cache.GENERATOR_VERSION` when it changes.
+:data:`~repro.workloads.cache.GENERATOR_VERSION` and re-record
+``tests/goldens/trace_digests.json`` when it changes.
 """
 
 from __future__ import annotations
@@ -167,6 +168,7 @@ class AppTraceGenerator:
                     if rand() < stream_write_frac:
                         writes[i] = 1
                 elif u < c_rw:
+                    # randrange(0) raises; the bare rejection loop would spin
                     if rw_blocks <= 0:
                         raise ValueError("empty range for randrange()")
                     r = getrandbits(rw_bits)

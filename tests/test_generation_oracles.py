@@ -14,8 +14,10 @@ oracle builds a fresh ``random.Random`` per address, as it always did.
 
 import random
 from bisect import bisect_left
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +189,21 @@ def test_split_after_a_read_that_owes_a_write(prof, core, seed, data):
     tail = gen.take(n - split)
     assert tail.records[0] == TraceRecord(tail.gaps[0], head.records[-1].addr, True)
     assert head.records + tail.records == records
+
+
+def test_empty_region_raises_like_randrange():
+    prof = profile("mcf17").scaled(1 / 32)
+    for region in ("rw", "random"):
+        empty = replace(
+            prof, loop_weight=0.0, scan_weight=0.0, stream_weight=0.0,
+            rw_weight=float(region == "rw"),
+            random_weight=float(region == "random"),
+            **{f"{region}_blocks": 0},
+        )
+        with pytest.raises(ValueError):
+            next(RecordOracle(empty, 0))
+        with pytest.raises(ValueError):
+            AppTraceGenerator(empty, 0).take(1)
 
 
 def test_take_matches_oracle_on_a_calibrated_profile():
