@@ -134,10 +134,10 @@ class MaterializedTrace:
 
 
 def materialize(generator, n_records: int) -> MaterializedTrace:
-    """``generator.take(n_records)``: every generated trace passes here.
+    """``generator.take(n_records)``, where workload builds generate.
 
-    The one named point where a trace is generated rather than loaded,
-    which the repository benchmark's per-layer hooks
+    :func:`~repro.workloads.cache.load_or_materialize` generates through
+    this name, which the repository benchmark's per-layer hooks
     (``perfbench/hooks.py``) count as a cold build.
     """
     return generator.take(n_records)
