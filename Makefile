@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 
-.PHONY: ci test bench bench-parallel bench-memo \
+.PHONY: ci test bench bench-memo \
 	explore bench-explore serve-smoke bench-service
 
 ci:
@@ -13,10 +13,6 @@ test:
 bench:
 	PYTHONPATH=src python -m repro bench --scale smoke \
 		--baseline benchmarks/results/BENCH_engine.json
-
-# Campaign scaling bench (pool vs isolated, jobs sweep).
-bench-parallel:
-	PYTHONPATH=src python -m repro bench --jobs auto
 
 # Full design-space sweep: 1008 configurations through the analytical
 # screening tier, the 16 survivors confirmed with real simulations,

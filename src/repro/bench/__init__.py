@@ -26,7 +26,6 @@ from .compare import (
 from .explore import MIN_INSTRUCTION_SPEEDUP, ExploreBenchError, run_explore_bench
 from .golden import GOLDEN_MIX, GOLDEN_POLICIES, compute_golden_digests, simulation_digest
 from .memo import MemoBenchError, run_memo_bench
-from .parallel import run_parallel_bench
 from .service import (
     SERVICE_SPEEDUP_FLOOR,
     ServiceBenchError,
@@ -59,7 +58,6 @@ __all__ = [
     "run_bench",
     "run_explore_bench",
     "run_memo_bench",
-    "run_parallel_bench",
     "run_service_bench",
     "service_floor_errors",
     "simulation_digest",

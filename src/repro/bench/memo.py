@@ -82,11 +82,11 @@ def _campaign_pass(directory: Path, scale_name: str, settings):
     return report, seconds
 
 
-def _campaign_phase(scale: ExperimentScale, base: Path, jobs: int, say) -> dict:
+def _campaign_phase(scale: ExperimentScale, base: Path, say) -> dict:
     from ..harness import CampaignSettings
 
     settings = CampaignSettings(
-        jobs=max(1, jobs),
+        jobs=2,
         task_timeout=600.0,
         retries=2,
         backoff_base=0.05,
@@ -196,7 +196,6 @@ def _snapshot_phase(scale: ExperimentScale, say) -> dict:
 def run_memo_bench(
     scale: ExperimentScale,
     label: str = "memo",
-    jobs: int = 2,
     progress=None,
 ) -> dict:
     """Benchmark both memo layers; raise :class:`MemoBenchError` on any
@@ -211,7 +210,7 @@ def run_memo_bench(
         os.environ[TRACE_CACHE_ENV] = str(base / "trace_cache")
         for mix in scale.mixes[:BENCH_CELL_MIXES]:
             scale.workload(mix, seed=0)
-        campaign = _campaign_phase(scale, base, jobs, say)
+        campaign = _campaign_phase(scale, base, say)
         snapshot = _snapshot_phase(scale, say)
     finally:
         if old_trace_env is None:

@@ -395,8 +395,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 parse_endpoint(spec)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
-        if args.isolate_tasks:
-            raise UsageError("--shards and --isolate-tasks are exclusive")
 
     settings = CampaignSettings(
         jobs=args.jobs,
@@ -405,7 +403,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         backoff_base=args.backoff,
         chaos=chaos,
         profile_dir=args.profile,
-        isolate_tasks=args.isolate_tasks,
         use_result_cache=not args.no_result_cache,
         result_cache_dir=args.result_cache,
         shards=shards,
@@ -526,7 +523,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         compare_benches,
         load_bench,
         run_bench,
-        run_parallel_bench,
         write_bench,
     )
 
@@ -597,20 +593,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.memo:
         from .bench.memo import MemoBenchError, run_memo_bench
 
-        if args.jobs is None:
-            jobs = 2
-        else:
-            try:
-                jobs = int(args.jobs)
-            except ValueError:
-                raise UsageError(
-                    "--memo takes a single integer --jobs value"
-                ) from None
         label = args.label if args.label != "engine" else "memo"
         try:
-            document = run_memo_bench(
-                scale, label=label, jobs=jobs, progress=print
-            )
+            document = run_memo_bench(scale, label=label, progress=print)
         except MemoBenchError as exc:
             print(f"memo bench FAILED: {exc}", file=sys.stderr)
             return 1
@@ -633,26 +618,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(comparison.summary())
         return 0 if comparison.ok else 1
 
-    if args.jobs is not None:
-        from .bench.parallel import _parse_jobs_spec
-
-        try:
-            jobs_values = _parse_jobs_spec(args.jobs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        label = args.label if args.label != "engine" else "parallel"
-        document = run_parallel_bench(
-            scale, jobs_values=jobs_values, label=label, progress=print
-        )
-        path = write_bench(document, args.out)
-        print(f"wrote {path}")
-        warm = document["warm_pool"]
-        print(
-            f"warm-pool advantage {warm['advantage_geomean']:.2f}x "
-            f"over {warm['warm_tasks']} tasks; efficiency at max jobs "
-            f"{document['scaling'][-1]['efficiency']:.2f}"
-        )
-        return 0
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     for name in policies:
         _check_choice("policy", name, registered_policies())
@@ -1139,9 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject faults, e.g. p=0.3,kinds=crash,timeout,corrupt")
     p.add_argument("--profile", default=None, metavar="DIR",
                    help="each worker dumps DIR/<task_id>.pstats")
-    p.add_argument("--isolate-tasks", action="store_true",
-                   help="fresh worker process per task attempt instead of "
-                        "the persistent warm-cache pool")
     p.add_argument("--result-cache", default=None, metavar="DIR",
                    help="content-addressed result cache directory "
                         "(default: <campaign>/result_cache, or "
@@ -1171,10 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=1,
                    help="timing repeats per case (best-of is reported)")
-    p.add_argument("--jobs", default=None, metavar="SPEC",
-                   help="parallel scaling mode: run bench_cells campaigns "
-                        "at these job counts ('auto' = 1 and cpu_count, or "
-                        "e.g. '1,4,8'); writes BENCH_parallel.json")
     p.add_argument("--memo", action="store_true",
                    help="memoization mode: time a cold vs cache-served "
                         "campaign pass (verified byte-identical) plus a "

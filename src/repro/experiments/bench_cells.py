@@ -1,11 +1,10 @@
 """Benchmark cells: the campaign-schedulable unit of engine work.
 
-``repro bench --jobs`` measures how campaign throughput scales with
-worker count and execution mode (persistent pool vs per-task
-processes).  For that it needs a matrix of *uniform, independently
-runnable* tasks whose compute is pure engine work — so this module
-packages one (policy, mix) simulation cell as a registered campaign
-experiment.
+``repro bench --memo`` and ``repro bench --service`` time whole
+campaigns through the real scheduler.  For that they need a matrix of
+*uniform, independently runnable* tasks whose compute is pure engine
+work — so this module packages one (policy, mix) simulation cell as a
+registered campaign experiment.
 
 Units deliberately report only deterministic counters (accesses,
 hits, bytes, IPC) and no wall-clock numbers: the scheduler measures
@@ -26,19 +25,19 @@ from typing import List
 from ..core import make_policy
 from .common import ExperimentScale, run_one
 
-#: Policy matrix of one scaling run: the paper's baselines + proposals
-#: (same set the engine bench times), giving several same-mix cells in
-#: a row so warm-pool reuse has something to reuse.
+#: Policy matrix of one bench campaign: the paper's baselines +
+#: proposals (same set the engine bench times), giving several same-mix
+#: cells in a row so pool workers' warm caches have something to reuse.
 BENCH_CELL_POLICIES = ("bh", "bh_cp", "lhybrid", "tap", "ca", "ca_rwr", "cp_sd")
 
 #: Cells per mix are what matters for warm reuse, not mix variety.
 BENCH_CELL_MIXES = 2
 
-#: Deliberately short cells: the scaling bench measures what the
+#: Deliberately short cells: the campaign benches measure what the
 #: *harness* adds per task (dispatch, process setup, cache rebuilds),
 #: so the engine work inside each cell is kept small enough not to
 #: drown the quantity under measurement.  Engine speed itself has its
-#: own benchmark (``repro bench`` without ``--jobs``).
+#: own benchmark (plain ``repro bench``).
 BENCH_CELL_EPOCHS = 1.0
 BENCH_CELL_WARMUP_EPOCHS = 0.25
 

@@ -89,7 +89,8 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
 #: Experiments scheduled by a default ``repro campaign`` run: the
 #: paper's figures and tables.  ``bench_cells`` reproduces nothing and
 #: is deliberately excluded — it runs only when named explicitly
-#: (``--experiments bench_cells`` or ``repro bench --jobs``).
+#: (``--experiments bench_cells``, or the ``--memo``/``--service``
+#: benches).
 EXPERIMENT_NAMES = tuple(sorted(set(EXPERIMENTS) - {"bench_cells"}))
 
 #: Every campaign-runnable experiment, benchmark cells included.

@@ -1,21 +1,19 @@
 """The fault-tolerant campaign scheduler.
 
 Drives a set of :class:`~repro.experiments.campaign_tasks.CampaignTask`
-units to completion across worker processes, in one of two modes:
+units to completion on a persistent pool of long-lived worker
+processes.  Workers pull tasks over pipes and keep trace/sidecar/
+workload caches warm across tasks, so an N-cell policy matrix pays the
+interpreter spawn and workload build once per worker instead of once
+per cell.  With ``shards`` set, the same task graph is fanned out over
+``repro serve-worker`` endpoints by
+:class:`~repro.service.dispatch.ShardedDispatcher` instead.
 
-* **pool** (default) — a persistent pool of long-lived workers pulls
-  *batches* of tasks over pipes and keeps trace/sidecar/workload
-  caches warm across tasks, so an N-cell policy matrix pays the
-  interpreter spawn and workload build once per worker instead of
-  once per cell;
-* **isolated** (``isolate_tasks=True``) — the PR 1 model, one process
-  per task attempt, for tasks that should never share an interpreter.
-
-Both modes keep the same fault-tolerance guarantees:
+The fault-tolerance guarantees:
 
 * **crash containment** — a dead worker is an event, never an
-  exception; its in-flight task requeues and (in pool mode) a fresh
-  worker replaces it;
+  exception; its in-flight task requeues and a fresh worker replaces
+  it;
 * **per-task deadlines** — pool workers heartbeat a ``start`` message
   per task, arming a deadline; a worker that blows it is killed and
   the attempt recorded as a timeout;
@@ -70,7 +68,7 @@ from .errors import (
     TaskFailureReport,
 )
 from .manifest import FAILURES_NAME, MANIFEST_NAME, CampaignManifest
-from .worker import build_payload, pool_worker_entry, worker_entry
+from .worker import build_payload, pool_worker_entry
 
 PathLike = Union[str, Path]
 Progress = Optional[Callable[[str], None]]
@@ -124,18 +122,10 @@ class CampaignSettings:
     retries: int = 3
     backoff_base: float = 1.0
     backoff_cap: float = 30.0
-    start_method: Optional[str] = None
     chaos: Optional[ChaosConfig] = None
     #: When set, every worker profiles its task attempt with cProfile
     #: and dumps ``<profile_dir>/<task_id>.pstats``.
     profile_dir: Optional[str] = None
-    #: ``True`` restores the one-process-per-attempt mode (PR 1);
-    #: the default runs a persistent worker pool with warm caches.
-    isolate_tasks: bool = False
-    #: Tasks dispatched to a pool worker per message.  1 keeps the
-    #: scheduler maximally reactive; larger batches shave dispatch
-    #: round-trips on very short tasks.
-    batch_size: int = 1
     #: The on-disk result cache (:mod:`repro.memo.results`): completed
     #: unit payloads keyed by (fingerprint, experiment, unit, scale).
     #: ``False`` disables both lookup and store; the directory defaults
@@ -159,9 +149,8 @@ class CampaignReport:
     retried_attempts: int = 0          # failed attempts that were retried
     failed: List[TaskFailureReport] = field(default_factory=list)
     interrupted: bool = False
-    #: Wall seconds of each *successful* attempt, by task id.  Pool
-    #: mode measures inside the worker (dispatch overhead excluded);
-    #: isolated mode measures launch-to-exit.
+    #: Wall seconds of each *successful* attempt, by task id, measured
+    #: inside the worker (dispatch overhead excluded).
     durations: Dict[str, float] = field(default_factory=dict)
     #: Pool workers replaced after dying or blowing a deadline.
     worker_respawns: int = 0
@@ -201,17 +190,6 @@ class _TaskState:
 
 
 @dataclass
-class _Running:
-    """One isolated-mode attempt in flight."""
-
-    state: _TaskState
-    process: multiprocessing.process.BaseProcess
-    deadline: float
-    attempt: int
-    started: float
-
-
-@dataclass
 class _PoolTask:
     """One attempt dispatched to (not necessarily started by) a worker."""
 
@@ -222,7 +200,7 @@ class _PoolTask:
 
 @dataclass
 class _PoolWorker:
-    """One persistent worker and the batch it currently owns."""
+    """One persistent worker and the task it currently owns."""
 
     process: multiprocessing.process.BaseProcess
     conn: "multiprocessing.connection.Connection"
@@ -252,9 +230,7 @@ class CampaignRunner:
         self.settings = settings or CampaignSettings()
         self.progress = progress or (lambda message: None)
         self.stop_after = stop_after
-        self._ctx = multiprocessing.get_context(
-            self.settings.start_method or _default_start_method()
-        )
+        self._ctx = multiprocessing.get_context(_default_start_method())
 
         if resume:
             # recover=True: a corrupt manifest is quarantined and
@@ -588,24 +564,30 @@ class CampaignRunner:
             queue.append(_TaskState(task=task, attempts=entry.attempts))
         queue = self._serve_from_cache(queue, report)
         self.manifest.save()
-        # Imported lazily: the service package depends on this module.
-        from ..service.dispatch import make_dispatcher
+        sharded = None
+        if self.settings.shards:
+            # Imported lazily: the service package depends on this module.
+            from ..service.dispatch import ShardedDispatcher
 
-        dispatcher = make_dispatcher(self.settings)
+            sharded = ShardedDispatcher(self.settings.shards)
+        mode = "pool" if sharded is None else "sharded"
         self.progress(
             f"campaign: {len(tasks)} tasks, jobs={self.settings.jobs} "
-            f"[{dispatcher.name}] (cpu_count={os.cpu_count() or 1})"
+            f"[{mode}] (cpu_count={os.cpu_count() or 1})"
         )
         if report.skipped:
             self.progress(f"resume: skipping {report.skipped} verified tasks")
 
         try:
-            dispatcher.run(self, queue, report)
+            if sharded is None:
+                self._run_pool(queue, report)
+            else:
+                sharded.run(self, queue, report)
         finally:
             # Even an aborted run (all shards lost, Ctrl-C) leaves its
             # failure report and health record behind for resume/audit.
             self._write_failure_report(report)
-            self._write_health_record(report, dispatcher.name)
+            self._write_health_record(report, mode)
         return report
 
     def _stop_requested(self, report: CampaignReport) -> bool:
@@ -633,132 +615,7 @@ class CampaignRunner:
         return max(0.01, horizon - now)
 
     # ------------------------------------------------------------------
-    # isolated mode (one process per attempt)
-    # ------------------------------------------------------------------
-    def _launch(self, state: _TaskState) -> _Running:
-        attempt = state.attempts + 1
-        process = self._ctx.Process(
-            target=worker_entry, args=(self._payload(state, attempt),),
-            daemon=True,
-        )
-        process.start()
-        now = time.monotonic()
-        return _Running(
-            state=state,
-            process=process,
-            deadline=now + self.settings.task_timeout,
-            attempt=attempt,
-            started=now,
-        )
-
-    def _kill(self, process: multiprocessing.process.BaseProcess) -> None:
-        if process.is_alive():
-            process.terminate()
-            process.join(2.0)
-            if process.is_alive():  # pragma: no cover - stubborn child
-                process.kill()
-                process.join(2.0)
-
-    def _classify_exit(self, running: _Running, timed_out: bool) -> AttemptFailure:
-        task = running.state.task
-        if timed_out:
-            return AttemptFailure(
-                task.task_id,
-                running.attempt,
-                TIMEOUT,
-                f"exceeded {self.settings.task_timeout:g}s deadline",
-            )
-        exitcode = running.process.exitcode
-        if self._error_path(task, running.attempt).exists():
-            return self._error_failure(
-                running.state, running.attempt, f"worker exited {exitcode}"
-            )
-        if exitcode == 0:
-            # Exited cleanly but the result did not verify.
-            try:
-                verify_result(self._result_path(task), task.task_id)
-                raise AssertionError("classify called on verified result")
-            except CorruptResultError as exc:
-                return AttemptFailure(
-                    task.task_id, running.attempt, CORRUPT, exc.reason
-                )
-        return AttemptFailure(
-            task.task_id,
-            running.attempt,
-            CRASH,
-            f"worker died with exit code {exitcode}",
-        )
-
-    def _settle(
-        self, running: _Running, report: CampaignReport, timed_out: bool
-    ) -> Optional[_TaskState]:
-        state = running.state
-        state.attempts = running.attempt
-        state.tries_this_run += 1
-
-        if not timed_out and running.process.exitcode == 0:
-            failure = self._complete(
-                state, report, time.monotonic() - running.started
-            )
-            if failure is None:
-                return None
-        else:
-            failure = self._classify_exit(running, timed_out)
-        return self._fail_attempt(state, report, failure)
-
-    def _run_isolated(
-        self, queue: List[_TaskState], report: CampaignReport
-    ) -> None:
-        running: Dict[int, _Running] = {}
-        try:
-            while queue or running:
-                if self._stop_requested(report):
-                    break
-                # Settle finished and overdue workers first, so their
-                # slots free up for this iteration's launches (settling
-                # last would add a full wait timeout between tasks).
-                for pid in list(running):
-                    item = running[pid]
-                    timed_out = False
-                    if item.process.is_alive():
-                        if time.monotonic() >= item.deadline:
-                            self._kill(item.process)
-                            timed_out = True
-                        else:
-                            continue
-                    item.process.join()
-                    del running[pid]
-                    requeue = self._settle(item, report, timed_out)
-                    if requeue is not None:
-                        queue.append(requeue)
-                # Launch every eligible task while worker slots are free.
-                now = time.monotonic()
-                index = 0
-                while index < len(queue) and len(running) < self.settings.jobs:
-                    if queue[index].next_eligible <= now:
-                        state = queue.pop(index)
-                        item = self._launch(state)
-                        running[item.process.pid] = item
-                    else:
-                        index += 1
-                # Block until a child exits (its sentinel fires), a
-                # backoff releases, or a deadline nears.
-                sentinels = [item.process.sentinel for item in running.values()]
-                timeout = self._wait_timeout(
-                    queue,
-                    [item.deadline for item in running.values()],
-                    time.monotonic(),
-                )
-                if sentinels:
-                    multiprocessing.connection.wait(sentinels, timeout)
-                elif queue:
-                    time.sleep(timeout)
-        finally:
-            for item in running.values():
-                self._kill(item.process)
-
-    # ------------------------------------------------------------------
-    # pool mode (persistent workers, batched dispatch)
+    # the worker pool
     # ------------------------------------------------------------------
     def _spawn_worker(self) -> _PoolWorker:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -768,6 +625,14 @@ class CampaignRunner:
         process.start()
         child_conn.close()
         return _PoolWorker(process=process, conn=parent_conn)
+
+    def _kill(self, process: multiprocessing.process.BaseProcess) -> None:
+        if process.is_alive():
+            process.terminate()
+            process.join(2.0)
+            if process.is_alive():  # pragma: no cover - stubborn child
+                process.kill()
+                process.join(2.0)
 
     def _retire_worker(self, worker: _PoolWorker, kill: bool = True) -> None:
         if kill:
@@ -784,7 +649,7 @@ class CampaignRunner:
         queue: List[_TaskState],
         now: float,
     ) -> None:
-        """Hand batches of eligible tasks to idle (spawning) workers."""
+        """Hand one eligible task to each idle (or newly spawned) worker."""
         eligible = [s for s in queue if s.next_eligible <= now]
         if not eligible:
             return
@@ -806,23 +671,17 @@ class CampaignRunner:
         queue: List[_TaskState],
         now: float,
     ) -> None:
-        batch: List[_PoolTask] = []
-        payloads: List[str] = []
-        while eligible and len(batch) < max(1, self.settings.batch_size):
-            state = eligible.pop(0)
-            queue.remove(state)
-            attempt = state.attempts + 1
-            batch.append(_PoolTask(state=state, attempt=attempt))
-            payloads.append(self._payload(state, attempt))
+        state = eligible.pop(0)
+        queue.remove(state)
+        item = _PoolTask(state=state, attempt=state.attempts + 1)
         try:
-            worker.conn.send(("run", payloads))
+            worker.conn.send(("run", [self._payload(state, item.attempt)]))
         except (BrokenPipeError, OSError):
             # Worker died between spawn and dispatch; requeue untouched
             # (no attempt consumed) — the reaper collects the corpse.
-            for item in batch:
-                queue.append(item.state)
+            queue.append(state)
             return
-        worker.assigned.extend(batch)
+        worker.assigned.append(item)
         worker.deadline = now + self.settings.task_timeout
 
     def _on_message(
@@ -890,8 +749,8 @@ class CampaignRunner:
         kind: str,
         detail: str,
     ) -> None:
-        """Settle a dead/overdue worker's batch: charge started tasks,
-        requeue unstarted ones without consuming an attempt."""
+        """Settle a dead/overdue worker's task: charge it if started,
+        requeue it without consuming an attempt if not."""
         for item in worker.assigned:
             state = item.state
             if not item.started:

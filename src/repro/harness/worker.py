@@ -1,36 +1,32 @@
-"""Campaign workers: isolated one-shot processes and persistent pools.
+"""Campaign pool workers and the attempt contract they run.
 
-Two execution modes share one attempt contract:
+A pool worker (``pool_worker_entry``) is a long-lived process that
+pulls task payloads over a pipe and keeps its trace, sidecar and
+workload caches warm across tasks, so a policy matrix stops paying a
+fresh interpreter + workload build per cell.  Crash containment holds
+all the same: a segfault, OOM kill or runaway loop kills only that
+worker, which the scheduler observes via its process sentinel before
+requeueing the in-flight task and spawning a replacement.
 
-* **isolated** (``worker_entry``) — one process per task attempt, the
-  PR 1 crash-containment model: a segfault, OOM kill or runaway loop
-  in one task can never take the scheduler or its siblings down;
-* **pooled** (``pool_worker_entry``) — a long-lived process that pulls
-  *batches* of task payloads over a pipe and keeps its trace, sidecar
-  and workload caches warm across tasks, so a policy matrix stops
-  paying a fresh interpreter + workload build per cell.  Crash
-  containment is unchanged — a dead pool worker is an event the
-  scheduler observes via its process sentinel, and the in-flight task
-  is requeued.
-
-The attempt contract in both modes:
+The attempt contract (:func:`run_attempt`):
 
 * the worker receives one JSON payload (task, scale, paths, chaos);
 * on success it writes the task's result *atomically* to
-  ``result_path`` (isolated: exits 0; pooled: reports ``ok``);
+  ``result_path`` and reports ``ok``;
 * on a caught exception it writes a traceback record to
-  ``error_path`` (isolated: exits 1; pooled: reports ``error``);
+  ``error_path`` and reports ``error``;
 * anything else — a crash, a kill, a hang — is the scheduler's
   problem to detect from the outside.
 
 Shard processes (``repro serve-worker``, :mod:`repro.service.shard`)
-are a third caller of the same contract: they execute
+are a second caller of the same contract: they execute
 :func:`run_attempt` on payloads received over a socket instead of a
 pipe, which is why sharded campaigns inherit every chaos and
-durability guarantee the local modes prove.
+durability guarantee the local pool proves.
 
 Pool workers speak a tiny message protocol over their pipe:
-``("run", [payload_json, ...])`` and ``("exit",)`` inbound;
+``("run", [payload_json])`` (the scheduler sends one task per
+message) and ``("exit",)`` inbound;
 ``("start", task_id, monotonic)`` — the heartbeat that arms the
 scheduler's per-task deadline — and ``("done", task_id, status,
 elapsed_seconds)`` outbound.
@@ -139,8 +135,7 @@ def _execute_attempt(payload: dict) -> bool:
 
     Returns ``True`` on a verified-writable success, ``False`` after
     writing the traceback record.  Never exits the process — the
-    callers decide between ``os._exit`` (isolated) and reporting over
-    the pipe (pooled).
+    callers report the outcome over their pipe or socket.
     """
     try:
         from ..config import resolve_backend_name
@@ -196,18 +191,8 @@ def _execute_attempt(payload: dict) -> bool:
         return False
 
 
-def worker_entry(payload_json: str) -> None:
-    """Isolated-mode entry point: run one task attempt and exit.
-
-    Must stay importable at module top level so it survives both
-    ``fork`` and ``spawn`` multiprocessing start methods.
-    """
-    payload = json.loads(payload_json)
-    os._exit(0 if run_attempt(payload) else 1)
-
-
 def pool_worker_entry(conn) -> None:
-    """Persistent-pool entry point: serve task batches until told to exit.
+    """Persistent-pool entry point: serve tasks until told to exit.
 
     ``conn`` is the worker's end of a ``multiprocessing.Pipe``.  The
     loop is deliberately trusting of nothing: a scheduler that died

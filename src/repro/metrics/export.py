@@ -290,8 +290,7 @@ def check_artifacts(
             continue
         for record in records:
             if record.kind == "bench":
-                # Matrix benches carry "cases"; the parallel-scaling
-                # bench carries "scaling"; the memo, explorer and
+                # Matrix benches carry "cases"; the memo, explorer and
                 # service benches carry their namesake sections — each
                 # must keep its schema-tagged document for the
                 # consumers (``compare``, the speedup gates) to read.
@@ -299,8 +298,8 @@ def check_artifacts(
                 if (
                     not isinstance(document, dict)
                     or "schema" not in document
-                    or not ({"cases", "scaling", "memo", "explore",
-                             "service"} & set(document))
+                    or not ({"cases", "memo", "explore", "service"}
+                             & set(document))
                 ):
                     errors.append(
                         f"{path}: bench record has no embedded document"

@@ -8,10 +8,9 @@ service any number of clients can drive:
 * :mod:`~repro.service.shard` — ``repro serve-worker``: a shard
   process that executes campaign task payloads for a controller,
   testable as N subprocesses on one machine;
-* :mod:`~repro.service.dispatch` — the :class:`Dispatcher` seam: the
-  local pool and isolated modes behind the same interface as the new
-  :class:`ShardedDispatcher`, which fans the task graph out across
-  shard endpoints with the pool's zero-loss requeue guarantees;
+* :mod:`~repro.service.dispatch` — :class:`ShardedDispatcher`, which
+  fans a campaign's task graph out across shard endpoints with the
+  local pool's zero-loss requeue guarantees;
 * :mod:`~repro.service.events` — the per-line checksummed JSONL event
   log streamed to ``repro watch`` clients;
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
@@ -25,25 +24,15 @@ audits service state like any other artefact class.
 """
 
 from .client import ServiceClient, ServiceError
-from .dispatch import (
-    Dispatcher,
-    IsolatedDispatcher,
-    LocalPoolDispatcher,
-    ShardedDispatcher,
-    ShardError,
-    make_dispatcher,
-)
+from .dispatch import ShardedDispatcher, ShardError
 from .events import EVENT_SCHEMA, EventLog, read_events
 from .protocol import ProtocolError, recv_message, send_message
 from .server import ServiceServer
 from .shard import LocalShardSet, parse_endpoint, serve_worker
 
 __all__ = [
-    "Dispatcher",
     "EVENT_SCHEMA",
     "EventLog",
-    "IsolatedDispatcher",
-    "LocalPoolDispatcher",
     "LocalShardSet",
     "ProtocolError",
     "ServiceClient",
@@ -51,7 +40,6 @@ __all__ = [
     "ServiceServer",
     "ShardError",
     "ShardedDispatcher",
-    "make_dispatcher",
     "parse_endpoint",
     "read_events",
     "recv_message",

@@ -1,18 +1,11 @@
-"""The dispatcher seam: one interface, local pool / isolated / sharded.
+"""Sharded dispatch: one campaign's task graph over N shard endpoints.
 
 :class:`~repro.harness.scheduler.CampaignRunner` owns *what* runs —
 task enumeration, retry budgets, checkpointing, manifest truth, the
-result cache.  A :class:`Dispatcher` owns only *where* attempts
-execute:
-
-* :class:`LocalPoolDispatcher` — the persistent in-process worker
-  pool, today's default, delegated verbatim to the runner's proven
-  loop;
-* :class:`IsolatedDispatcher` — one process per attempt (PR 1 mode),
-  likewise delegated;
-* :class:`ShardedDispatcher` — fans the same task graph out over N
-  shard endpoints (``repro serve-worker`` processes reached over
-  sockets, local or remote).
+result cache — and runs it on its local worker pool by default.  With
+``shards`` set it hands the queue to :class:`ShardedDispatcher`, which
+owns only *where* attempts execute: ``repro serve-worker`` processes
+reached over sockets, local or remote.
 
 The sharded loop is a line-for-line sibling of the pool loop: the
 same ``start``/``done`` contract, the same per-shard deadline arming,
@@ -34,7 +27,6 @@ from __future__ import annotations
 import select
 import socket
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -58,37 +50,9 @@ class ShardError(RuntimeError):
     every shard lost with work remaining)."""
 
 
-class Dispatcher(ABC):
-    """Executes a prepared task queue for a runner."""
-
-    name = "dispatcher"
-
-    @abstractmethod
-    def run(self, runner, queue, report) -> None:
-        """Drive ``queue`` to completion, mutating ``report``."""
-
-
-class LocalPoolDispatcher(Dispatcher):
-    """Persistent local worker pool — the historical default."""
-
-    name = "pool"
-
-    def run(self, runner, queue, report) -> None:
-        runner._run_pool(queue, report)
-
-
-class IsolatedDispatcher(Dispatcher):
-    """One process per task attempt (``--isolate-tasks``)."""
-
-    name = "isolated"
-
-    def run(self, runner, queue, report) -> None:
-        runner._run_isolated(queue, report)
-
-
 @dataclass
 class _Shard:
-    """One connected shard and the batch it currently owns."""
+    """One connected shard and the task it currently owns."""
 
     shard_id: str
     endpoint: str
@@ -112,10 +76,8 @@ class _Shard:
         return max(0.0, end - self.connected_at)
 
 
-class ShardedDispatcher(Dispatcher):
+class ShardedDispatcher:
     """Drive the campaign over N ``serve-worker`` endpoints."""
-
-    name = "sharded"
 
     def __init__(
         self,
@@ -266,7 +228,7 @@ class ShardedDispatcher(Dispatcher):
     def _lose_shard(
         self, runner, shard, queue, report, kind, detail
     ) -> None:
-        """Settle a dead/overdue shard's batch with zero loss.
+        """Settle a dead/overdue shard's task with zero loss.
 
         Exactly the pool's rules: messages flushed before death are
         honoured first (the drain), then *started* tasks are charged a
@@ -305,23 +267,21 @@ class ShardedDispatcher(Dispatcher):
     def _assign(self, runner, shard, eligible, queue, now) -> None:
         from ..harness.scheduler import _PoolTask
 
-        batch: List[_PoolTask] = []
-        payloads: List[str] = []
-        while eligible and len(batch) < max(1, runner.settings.batch_size):
-            state = eligible.pop(0)
-            queue.remove(state)
-            attempt = state.attempts + 1
-            batch.append(_PoolTask(state=state, attempt=attempt))
-            payloads.append(runner._payload(state, attempt))
+        state = eligible.pop(0)
+        queue.remove(state)
+        item = _PoolTask(state=state, attempt=state.attempts + 1)
         try:
-            send_message(shard.sock, {"type": "run", "payloads": payloads})
+            send_message(
+                shard.sock,
+                {"type": "run",
+                 "payloads": [runner._payload(state, item.attempt)]},
+            )
         except OSError:
             # Shard died between accept and first dispatch; requeue
             # untouched — the reaper pass collects the corpse.
-            for item in batch:
-                queue.append(item.state)
+            queue.append(state)
             return
-        shard.assigned.extend(batch)
+        shard.assigned.append(item)
         shard.deadline = now + runner.settings.task_timeout
 
     def _dispatch(self, runner, fleet, queue, now) -> None:
@@ -420,11 +380,3 @@ class ShardedDispatcher(Dispatcher):
                 for record in summary["shards"]
             }
 
-
-def make_dispatcher(settings) -> Dispatcher:
-    """Pick the dispatcher a :class:`CampaignSettings` asks for."""
-    if getattr(settings, "shards", None):
-        return ShardedDispatcher(settings.shards)
-    if settings.isolate_tasks:
-        return IsolatedDispatcher()
-    return LocalPoolDispatcher()

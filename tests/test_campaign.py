@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.fsio.durable import unwrap_json
 from repro.harness import (
     COMPLETE,
     FAILED,
@@ -22,6 +23,7 @@ from repro.harness import (
     load_result,
     run_campaign,
 )
+from repro.harness.scheduler import HEALTH_RECORD_NAME
 
 FAST = CampaignSettings(jobs=2, task_timeout=60, retries=2, backoff_base=0.01)
 
@@ -59,6 +61,11 @@ def test_campaign_completes_and_checkpoints(reference_campaign):
         assert payload["task_id"] == task_id
         assert payload["status"] == "ok"
         assert manifest.verified_complete(task_id)
+    # A local campaign always runs on the worker pool.
+    health = unwrap_json(
+        json.loads((reference_campaign / HEALTH_RECORD_NAME).read_text())
+    )
+    assert health["meta"]["mode"] == "pool"
 
 
 def test_interrupted_campaign_marks_incomplete_and_resumes_identically(
@@ -189,27 +196,6 @@ def test_worker_exception_is_captured_in_failure_report(tmp_path):
     assert failures["failed_tasks"][0]["task_id"] == "tables/table=table99"
 
 
-def test_isolated_mode_is_byte_identical_to_pool(tmp_path, reference_campaign):
-    """--isolate-tasks (one process per attempt) and the default
-    persistent pool must produce the same campaign bytes."""
-    directory = tmp_path / "isolated"
-    report = run_campaign(
-        directory,
-        scale="smoke",
-        experiments=["tables"],
-        settings=CampaignSettings(
-            jobs=2, task_timeout=60, retries=2, backoff_base=0.01,
-            isolate_tasks=True,
-        ),
-    )
-    assert report.ok
-    assert result_bytes(directory) == result_bytes(reference_campaign)
-    # both modes record a duration per completed task
-    manifest = CampaignManifest.load(directory)
-    assert set(report.durations) == set(manifest.tasks)
-    assert all(seconds > 0 for seconds in report.durations.values())
-
-
 def test_pool_worker_crash_loses_nothing(tmp_path, reference_campaign):
     """Chaos kills persistent workers mid-batch; the scheduler must
     respawn them and finish with results byte-identical to a calm run
@@ -298,21 +284,6 @@ def test_disk_fault_chaos_is_byte_identical_and_quarantines(
 
     audit = run_doctor([directory])
     assert audit.ok, audit.summary()
-
-
-def test_pool_batched_dispatch_is_byte_identical(tmp_path, reference_campaign):
-    directory = tmp_path / "batched"
-    report = run_campaign(
-        directory,
-        scale="smoke",
-        experiments=["tables"],
-        settings=CampaignSettings(
-            jobs=1, task_timeout=60, retries=0, backoff_base=0.01,
-            batch_size=4,
-        ),
-    )
-    assert report.ok
-    assert result_bytes(directory) == result_bytes(reference_campaign)
 
 
 def test_smoke_campaign_with_chaos_loses_nothing(tmp_path, capsys):

@@ -14,11 +14,8 @@ from repro.bench.service import (
 from repro.harness import CampaignSettings, run_campaign
 from repro.service.dispatch import (
     SHARD_MANIFEST_NAME,
-    IsolatedDispatcher,
-    LocalPoolDispatcher,
     ShardedDispatcher,
     ShardError,
-    make_dispatcher,
 )
 from repro.service.events import (
     EVENT_SCHEMA,
@@ -170,18 +167,7 @@ def test_event_log_missing_file_is_empty(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# dispatcher selection and validation
-
-def test_make_dispatcher_selects_by_settings():
-    assert isinstance(make_dispatcher(CampaignSettings()), LocalPoolDispatcher)
-    assert isinstance(
-        make_dispatcher(CampaignSettings(isolate_tasks=True)),
-        IsolatedDispatcher,
-    )
-    sharded = make_dispatcher(CampaignSettings(shards=["127.0.0.1:1234"]))
-    assert isinstance(sharded, ShardedDispatcher)
-    assert sharded.name == "sharded"
-
+# dispatcher validation
 
 def test_sharded_dispatcher_validates_endpoints():
     with pytest.raises(ShardError):
@@ -262,6 +248,7 @@ def test_sharded_campaign_byte_identical_with_manifest(tmp_path):
     health = unwrap_json(
         json.loads((tmp_path / "camp" / HEALTH_RECORD_NAME).read_text())
     )
+    assert health["meta"]["mode"] == "sharded"
     assert health["metrics"]["scheduler.completed"] == report.completed
     assert health["metrics"]["scheduler.shard_deaths"] == 0
     assert health["values"]["shard_walls"] == dict(report.shard_walls)

@@ -269,12 +269,6 @@ def test_cli_campaign_rejects_bad_shard_specs(tmp_path):
         "--scale", "smoke",
         "--shards", "nonsense",
     ]) == 2
-    assert main([
-        "campaign", "--out", str(tmp_path / "camp"),
-        "--scale", "smoke",
-        "--shards", "127.0.0.1:9,127.0.0.1:10",
-        "--isolate-tasks",
-    ]) == 2
 
 
 def test_cli_serve_submit_watch_roundtrip(tmp_path, capsys):
