@@ -1,7 +1,7 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 
 .PHONY: ci test bench bench-memo \
-	explore bench-explore serve-smoke bench-service
+	explore bench-explore shard-smoke bench-service
 
 ci:
 	scripts/ci.sh
@@ -28,14 +28,14 @@ bench-explore:
 	PYTHONPATH=src python -m repro bench --explore --scale smoke \
 		--out $$(mktemp -d)
 
-# Service-mode smoke: a 2-shard local service runs a submitted grid
-# while one shard is killed mid-flight; the job must finish zero-loss,
+# Sharded-dispatch smoke: a 2-shard local fleet runs a campaign while
+# one shard is killed mid-flight; it must finish zero-loss,
 # byte-identical to a single-pool run, resume from the durable
-# manifest, and the service root must audit clean.  Same leg
+# manifest, and the campaign directory must audit clean.  Same leg
 # scripts/ci.sh runs.
-serve-smoke:
+shard-smoke:
 	scripts/ci.sh --skip-tests --skip-bench --skip-memo --skip-schema \
-		--skip-durability --skip-analytical
+		--skip-durability --skip-analytical --skip-workloads
 
 # Sharded-dispatch scaling bench: single-pool reference vs 1- and
 # 2-shard local fleets, byte-identity asserted per fleet size, gated

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/ci.sh
 #   [--skip-tests|--skip-bench|--skip-memo|--skip-schema|--skip-durability|
-#    --skip-analytical|--skip-service|--skip-workloads]
+#    --skip-analytical|--skip-shards|--skip-workloads]
 #
 # The bench leg runs a *reduced* matrix (3 policies x 1 mix, smoke
 # scale, best-of-3) against the committed full-matrix baseline —
@@ -21,7 +21,7 @@ RUN_MEMO=1
 RUN_SCHEMA=1
 RUN_DURABILITY=1
 RUN_ANALYTICAL=1
-RUN_SERVICE=1
+RUN_SHARDS=1
 RUN_WORKLOADS=1
 for arg in "$@"; do
   case "$arg" in
@@ -31,7 +31,7 @@ for arg in "$@"; do
     --skip-schema) RUN_SCHEMA=0 ;;
     --skip-durability) RUN_DURABILITY=0 ;;
     --skip-analytical) RUN_ANALYTICAL=0 ;;
-    --skip-service) RUN_SERVICE=0 ;;
+    --skip-shards) RUN_SHARDS=0 ;;
     --skip-workloads) RUN_WORKLOADS=0 ;;
     *) echo "ci.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
@@ -139,24 +139,22 @@ if [[ "$RUN_ANALYTICAL" == 1 ]]; then
   python -m repro doctor --strict "$EXPLORE_OUT/run"
 fi
 
-if [[ "$RUN_SERVICE" == 1 ]]; then
-  echo "== ci: service mode (2 shards, mid-flight shard kill) =="
-  # A two-subprocess-shard service executes a tiny submitted grid while
-  # one shard is rigged to die mid-task.  The job must finish with zero
+if [[ "$RUN_SHARDS" == 1 ]]; then
+  echo "== ci: sharded dispatch (2 shards, mid-flight shard kill) =="
+  # A two-subprocess-shard fleet runs a tiny campaign while one shard
+  # is rigged to die mid-task.  The campaign must finish with zero
   # unit loss (the dead shard's work requeues to the survivor), the
   # merged results must be byte-identical to an unsharded reference
-  # run, a post-restart resume must serve every unit from the durable
-  # manifest, and the whole service root must pass a strict audit.
-  SERVICE_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "${MEMO_OUT:-}" "${DURA_OUT:-}" "${EXPLORE_OUT:-}" "$SERVICE_OUT"' EXIT
-  python - "$SERVICE_OUT" <<'PY'
+  # run, a resume must serve every unit from the durable manifest, and
+  # the campaign directory must pass a strict audit.
+  SHARD_OUT="$(mktemp -d)"
+  trap 'rm -rf "${BENCH_OUT:-}" "${MEMO_OUT:-}" "${DURA_OUT:-}" "${EXPLORE_OUT:-}" "$SHARD_OUT"' EXIT
+  python - "$SHARD_OUT" <<'PY'
 import hashlib
 import sys
 from pathlib import Path
 
 from repro.harness import CampaignSettings, run_campaign
-from repro.service.client import ServiceClient
-from repro.service.server import DONE, ServiceServer
 from repro.service.shard import KILL_AT_ENV, LocalShardSet
 
 root = Path(sys.argv[1])
@@ -178,7 +176,7 @@ report = run_campaign(
     root / "reference",
     scale="smoke",
     experiments=("tables",),
-    settings=CampaignSettings(jobs=1, retries=0),
+    settings=CampaignSettings(jobs=1, retries=0, use_result_cache=False),
 )
 assert report.ok, "reference run failed"
 ref_digest, ref_count = digest(root / "reference")
@@ -187,44 +185,38 @@ ref_digest, ref_count = digest(root / "reference")
 with LocalShardSet(
     2, root / "fleet", extra_env=[None, {KILL_AT_ENV: "start:2"}]
 ) as fleet:
-    server = ServiceServer(root / "service", shards=fleet.endpoints)
-    server.start()
-    try:
-        client = ServiceClient(server.endpoint)
-        job_id = client.submit(experiments=["tables"], scale="smoke")
-        record = client.watch(job_id, timeout=600.0)
-    finally:
-        server.stop()
-assert record["status"] == DONE, record
-job_report = record["report"]
-assert job_report["failed"] == 0, job_report
-assert job_report["shard_deaths"] == 1, job_report
-job_dir = root / "service" / "jobs" / job_id / "campaign"
-job_digest, job_count = digest(job_dir)
-assert (job_count, job_digest) == (ref_count, ref_digest), (
+    report = run_campaign(
+        root / "campaign",
+        scale="smoke",
+        experiments=("tables",),
+        settings=CampaignSettings(
+            shards=fleet.endpoints, use_result_cache=False
+        ),
+    )
+assert report.ok, report
+assert report.shard_deaths == 1, report
+sharded_digest, sharded_count = digest(root / "campaign")
+assert (sharded_count, sharded_digest) == (ref_count, ref_digest), (
     "sharded results diverged from the single-pool reference"
 )
 
-# A fresh server over the same root resumes the job: every unit is
-# served from the durable campaign manifest, nothing recomputes.
-server = ServiceServer(root / "service")
-server.start()
-try:
-    client = ServiceClient(server.endpoint)
-    client.resume(job_id)
-    record = client.watch(job_id, timeout=600.0)
-finally:
-    server.stop()
-assert record["status"] == DONE, record
-assert record["report"]["skipped"] == job_report["total"], record["report"]
-assert record["report"]["completed"] == 0, record["report"]
+# A resume of the same directory serves every unit from the durable
+# campaign manifest: nothing recomputes.
+resumed = run_campaign(
+    root / "campaign",
+    resume=True,
+    settings=CampaignSettings(jobs=1, use_result_cache=False),
+)
+assert resumed.ok, resumed
+assert resumed.skipped == resumed.total == report.total, resumed
+assert resumed.completed == 0, resumed
 print(
-    f"service job {job_id}: {job_report['completed']} units, "
-    f"{job_report['shard_deaths']} shard death, byte-identical to "
-    "reference, resume served all units from the manifest"
+    f"sharded campaign: {report.completed} units, "
+    f"{report.shard_deaths} shard death, byte-identical to reference, "
+    "resume served all units from the manifest"
 )
 PY
-  python -m repro doctor --strict "$SERVICE_OUT/service"
+  python -m repro doctor --strict "$SHARD_OUT/campaign"
 fi
 
 if [[ "$RUN_WORKLOADS" == 1 ]]; then
@@ -253,7 +245,7 @@ if failures:
     sys.exit(1)
 PY
   WORKLOADS_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "${MEMO_OUT:-}" "${DURA_OUT:-}" "${EXPLORE_OUT:-}" "${SERVICE_OUT:-}" "$WORKLOADS_OUT"' EXIT
+  trap 'rm -rf "${BENCH_OUT:-}" "${MEMO_OUT:-}" "${DURA_OUT:-}" "${EXPLORE_OUT:-}" "${SHARD_OUT:-}" "$WORKLOADS_OUT"' EXIT
   REPRO_EXTERNAL_WORKLOADS="$WORKLOADS_OUT/external" python - <<'PY'
 from dataclasses import replace
 

@@ -21,15 +21,9 @@ Commands
 ``explore``   — successive-halving design-space sweep: analytical
                 screening rungs, simulated confirmation, Pareto
                 frontier; crash-consistent artefacts with ``--resume``
-``serve``     — run the campaign service: accepts submitted sweeps,
-                executes them (locally or across shards), streams
-                telemetry, serves Prometheus ``/metrics``
 ``serve-worker`` — run one shard: executes campaign task payloads for
-                a controller over a socket
-``submit``    — enqueue a sweep on a running service (async)
-``status``    — job ledger of a service, or the shard/task summary of
-                a campaign directory
-``watch``     — stream a job's per-unit progress events live
+                a ``campaign --shards`` controller over a socket
+``status``    — the task/shard summary of a campaign directory
 
 Unknown mix/policy/scale/experiment names exit with code 2 and a
 one-line "did you mean" suggestion instead of a traceback.
@@ -805,73 +799,6 @@ def cmd_serve_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import LocalShardSet, ServiceServer
-
-    shards = None
-    if args.shards:
-        shards = [s.strip() for s in args.shards.split(",") if s.strip()]
-    fleet = None
-    try:
-        if args.local_shards:
-            if shards:
-                raise UsageError("--shards and --local-shards are exclusive")
-            from pathlib import Path
-
-            fleet = LocalShardSet(
-                args.local_shards, Path(args.root) / "shards"
-            )
-            shards = fleet.start()
-            print(f"spawned {len(shards)} local shards: {', '.join(shards)}")
-        server = ServiceServer(
-            args.root,
-            host=args.host,
-            port=args.port,
-            shards=shards,
-            jobs=args.jobs,
-            progress=print,
-        )
-        server.serve_forever()
-    finally:
-        if fleet is not None:
-            fleet.stop()
-    return 0
-
-
-def _service_client(args: argparse.Namespace):
-    from .service import ServiceClient
-    from .service.client import ServiceError
-
-    try:
-        return ServiceClient(args.endpoint), ServiceError
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from .experiments import ALL_EXPERIMENT_NAMES
-
-    experiments = [e.strip() for e in args.experiments.split(",") if e.strip()]
-    for name in experiments:
-        _check_choice("experiment", name, ALL_EXPERIMENT_NAMES)
-    scale_name = _resolve_scale(args.scale).name
-    client, ServiceError = _service_client(args)
-    try:
-        if args.resume:
-            job_id = client.resume(args.resume)
-        else:
-            job_id = client.submit(
-                experiments=experiments, scale=scale_name, chaos=args.chaos
-            )
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 1
-    print(job_id)
-    if args.watch:
-        return _watch_job(client, ServiceError, job_id)
-    return 0
-
-
 def _format_shard_table(shards: dict) -> List[str]:
     lines = [
         "  shard       tasks  busy_s   wall_s  status",
@@ -886,42 +813,8 @@ def _format_shard_table(shards: dict) -> List[str]:
     return lines
 
 
-def _print_job(job: dict) -> None:
-    report = job.get("report") or {}
-    print(
-        f"{job['job_id']}: {job['status']}  "
-        f"[{','.join(job.get('experiments', ()))} @ {job.get('scale')}]"
-        + (
-            f"  {report.get('completed', 0)}/{report.get('total', 0)} done"
-            if report
-            else ""
-        )
-        + (f"  error: {job['error']}" if job.get("error") else "")
-    )
-    walls = (report or {}).get("shard_walls") or {}
-    for shard_id in sorted(walls):
-        print(f"  {shard_id}: {walls[shard_id]:.2f}s wall")
-
-
 def cmd_status(args: argparse.Namespace) -> int:
-    if args.path:
-        return _campaign_status(args.path)
-    if not args.endpoint:
-        raise UsageError("status needs --endpoint HOST:PORT or a campaign DIR")
-    client, ServiceError = _service_client(args)
-    try:
-        if args.job:
-            _print_job(client.status(args.job))
-        else:
-            jobs = client.status()
-            if not jobs:
-                print("no jobs submitted yet")
-            for job in jobs:
-                _print_job(job)
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _campaign_status(args.path)
 
 
 def _campaign_status(path: str) -> int:
@@ -970,37 +863,6 @@ def _campaign_status(path: str) -> int:
             + ", ".join(f"{key}={value}" for key, value in scheduler.items())
         )
     return 0
-
-
-def _watch_job(client, ServiceError, job_id: str) -> int:
-    def on_event(event: dict) -> None:
-        kind = event.get("event", "?")
-        task = event.get("task_id")
-        detail = f" {task}" if task else ""
-        extras = {
-            key: event[key]
-            for key in ("shard", "completed", "total", "kind", "reason", "ok")
-            if key in event
-        }
-        suffix = (
-            " [" + ", ".join(f"{k}={v}" for k, v in extras.items()) + "]"
-            if extras
-            else ""
-        )
-        print(f"  {kind}{detail}{suffix}")
-
-    try:
-        job = client.watch(job_id, on_event=on_event, timeout=3600.0)
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 1
-    _print_job(job)
-    return 0 if job.get("status") == "done" else 1
-
-
-def cmd_watch(args: argparse.Namespace) -> int:
-    client, ServiceError = _service_client(args)
-    return _watch_job(client, ServiceError, args.job_id)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1239,27 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser(
-        "serve",
-        help="run the campaign service: job queue, sharded or local "
-             "execution, streaming telemetry, Prometheus /metrics",
-    )
-    p.add_argument("--root", required=True, metavar="DIR",
-                   help="service root (ledger, jobs, shared result cache)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = kernel-assigned; see the announce "
-                        "file <root>/service.announce.json)")
-    p.add_argument("--shards", default=None, metavar="ENDPOINTS",
-                   help="comma-separated host:port of running serve-worker "
-                        "shards jobs execute on")
-    p.add_argument("--local-shards", type=int, default=0, metavar="N",
-                   help="spawn N serve-worker subprocesses under "
-                        "<root>/shards and execute jobs on them")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="local-pool workers per job when not sharded")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
         "serve-worker",
         help="run one shard: executes campaign task payloads for a "
              "controller over a socket; outlives controller sessions",
@@ -1275,43 +1116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve_worker)
 
     p = sub.add_parser(
-        "submit", help="enqueue a sweep on a running service (async)"
+        "status", help="task/shard summary of a campaign directory"
     )
-    p.add_argument("--scale", default=argparse.SUPPRESS,
-                   help="smoke | default | full | paper (default: env)")
-    p.add_argument("--endpoint", required=True, metavar="HOST:PORT",
-                   help="service endpoint (or path to its announce file)")
-    p.add_argument("--experiments", default=",".join(EXPERIMENT_NAMES),
-                   help=f"comma-separated subset of {EXPERIMENT_NAMES}")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="chaos spec forwarded to the job's campaign")
-    p.add_argument("--resume", default=None, metavar="JOB",
-                   help="re-queue this finished/failed job instead of "
-                        "submitting a new one (completed units skipped)")
-    p.add_argument("--watch", action="store_true",
-                   help="stay attached and stream the job's events")
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser(
-        "status",
-        help="job ledger of a service (--endpoint) or shard/task "
-             "summary of a campaign directory (DIR)",
-    )
-    p.add_argument("path", nargs="?", default=None, metavar="DIR",
+    p.add_argument("path", metavar="DIR",
                    help="campaign directory to summarise")
-    p.add_argument("--endpoint", default=None, metavar="HOST:PORT",
-                   help="service endpoint (or path to its announce file)")
-    p.add_argument("--job", default=None, metavar="JOB",
-                   help="show one job instead of the whole ledger")
     p.set_defaults(func=cmd_status)
-
-    p = sub.add_parser(
-        "watch", help="stream a job's per-unit progress events live"
-    )
-    p.add_argument("job_id", metavar="JOB")
-    p.add_argument("--endpoint", required=True, metavar="HOST:PORT",
-                   help="service endpoint (or path to its announce file)")
-    p.set_defaults(func=cmd_watch)
     return parser
 
 

@@ -78,9 +78,9 @@ Progress = Optional[Callable[[str], None]]
 _WAIT_CAP = 0.2
 
 #: Name of the per-campaign health record (a ``repro-run/1`` RunRecord
-#: in a blob envelope) written after every scheduler invocation, so the
-#: file exporter and the service's streaming ``/metrics`` endpoint read
-#: the same scheduler/storage counters from the same artefact.
+#: in a blob envelope) written after every scheduler invocation, so
+#: ``repro status`` and every ``repro export`` format read the same
+#: scheduler/storage counters from the same artefact.
 HEALTH_RECORD_NAME = "campaign.health.json"
 
 # Scheduler counters, declared once like every other spine layer; the
@@ -191,7 +191,8 @@ class _TaskState:
 
 @dataclass
 class _PoolTask:
-    """One attempt dispatched to (not necessarily started by) a worker."""
+    """One attempt dispatched to (not necessarily started by) a worker
+    or shard; each holds at most one at a time."""
 
     state: _TaskState
     attempt: int
@@ -204,12 +205,12 @@ class _PoolWorker:
 
     process: multiprocessing.process.BaseProcess
     conn: "multiprocessing.connection.Connection"
-    assigned: List[_PoolTask] = field(default_factory=list)
+    in_flight: Optional[_PoolTask] = None
     deadline: Optional[float] = None   # armed while a task is in flight
 
     @property
     def idle(self) -> bool:
-        return not self.assigned
+        return self.in_flight is None
 
 
 class CampaignRunner:
@@ -287,23 +288,6 @@ class CampaignRunner:
             ResultCache(cache_root) if cache_root is not None else None
         )
         self._fingerprint = code_fingerprint()
-        #: Structured telemetry tap: when set (the service server sets
-        #: it to its event log), every unit/shard lifecycle event is
-        #: delivered as a dict.  Purely observational — a sink that
-        #: raises is disarmed, never the campaign.
-        self.event_sink: Optional[Callable[[dict], None]] = None
-
-    def _event(self, kind: str, /, **fields) -> None:
-        # Positional-only: events carry a "kind" *field* too (failure
-        # kinds), which must not collide with the event name argument.
-        if self.event_sink is None:
-            return
-        event = {"event": kind}
-        event.update(fields)
-        try:
-            self.event_sink(event)
-        except Exception:
-            self.event_sink = None  # a broken tap must not kill the run
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -385,12 +369,6 @@ class CampaignRunner:
             )
             report.completed += 1
             report.cache_hits += 1
-            self._event(
-                "unit_cached",
-                task_id=task.task_id,
-                completed=report.completed + report.skipped,
-                total=report.total,
-            )
             self.progress(
                 f"cached {task.task_id} "
                 f"({report.completed + report.skipped}/{report.total})"
@@ -460,13 +438,6 @@ class CampaignRunner:
             )
         report.completed += 1
         report.durations[task.task_id] = duration
-        self._event(
-            "unit_done",
-            task_id=task.task_id,
-            elapsed=duration,
-            completed=report.completed + report.skipped,
-            total=report.total,
-        )
         self.progress(
             f"done {task.task_id} "
             f"({report.completed + report.skipped}/{report.total})"
@@ -490,13 +461,6 @@ class CampaignRunner:
             report.failed.append(
                 TaskFailureReport(task.task_id, state.attempts, state.failures)
             )
-            self._event(
-                "unit_failed",
-                task_id=task.task_id,
-                attempts=state.attempts,
-                kind=failure.kind,
-                detail=failure.detail,
-            )
             self.progress(
                 f"FAILED {task.task_id} after {state.attempts} attempts "
                 f"({failure.kind}: {failure.detail})"
@@ -513,13 +477,6 @@ class CampaignRunner:
         )
         state.next_eligible = time.monotonic() + delay
         report.retried_attempts += 1
-        self._event(
-            "unit_retry",
-            task_id=task.task_id,
-            attempt=state.attempts,
-            kind=failure.kind,
-            delay=delay,
-        )
         self.progress(
             f"retry {task.task_id} in {delay:.2g}s "
             f"(attempt {state.attempts} {failure.kind}: {failure.detail})"
@@ -540,6 +497,55 @@ class CampaignRunner:
         return AttemptFailure(
             state.task.task_id, attempt, ERROR, detail, traceback=trace
         )
+
+    # ------------------------------------------------------------------
+    # settle rules, shared by the pool and the sharded dispatcher
+    # ------------------------------------------------------------------
+    def _settle_done(
+        self,
+        item: _PoolTask,
+        ok: bool,
+        elapsed: float,
+        queue: List[_TaskState],
+        report: CampaignReport,
+    ) -> None:
+        """Settle an attempt whose worker reported a verdict: charge
+        it, then verify its result or record the error."""
+        state = item.state
+        state.attempts = item.attempt
+        state.tries_this_run += 1
+        if ok:
+            failure = self._complete(state, report, elapsed)
+        else:
+            failure = self._error_failure(
+                state, item.attempt, "worker task raised"
+            )
+        if failure is not None:
+            requeue = self._fail_attempt(state, report, failure)
+            if requeue is not None:
+                queue.append(requeue)
+
+    def _settle_lost(
+        self,
+        item: _PoolTask,
+        queue: List[_TaskState],
+        report: CampaignReport,
+        kind: str,
+        detail: str,
+    ) -> None:
+        """Settle the attempt of a worker that died or blew its deadline:
+        charge it if started, requeue it without consuming an attempt if
+        not."""
+        state = item.state
+        if not item.started:
+            queue.append(state)
+            return
+        state.attempts = item.attempt
+        state.tries_this_run += 1
+        failure = AttemptFailure(state.task.task_id, item.attempt, kind, detail)
+        requeue = self._fail_attempt(state, report, failure)
+        if requeue is not None:
+            queue.append(requeue)
 
     # ------------------------------------------------------------------
     # entry point
@@ -675,13 +681,13 @@ class CampaignRunner:
         queue.remove(state)
         item = _PoolTask(state=state, attempt=state.attempts + 1)
         try:
-            worker.conn.send(("run", [self._payload(state, item.attempt)]))
+            worker.conn.send(("run", self._payload(state, item.attempt)))
         except (BrokenPipeError, OSError):
             # Worker died between spawn and dispatch; requeue untouched
             # (no attempt consumed) — the reaper collects the corpse.
             queue.append(state)
             return
-        worker.assigned.append(item)
+        worker.in_flight = item
         worker.deadline = now + self.settings.task_timeout
 
     def _on_message(
@@ -691,43 +697,17 @@ class CampaignRunner:
         queue: List[_TaskState],
         report: CampaignReport,
     ) -> None:
-        kind = message[0]
-        if kind == "start":
-            _, task_id, _worker_clock = message
-            for item in worker.assigned:
-                if item.state.task.task_id == task_id:
-                    item.started = True
-                    break
+        item = worker.in_flight
+        if item is None or message[1] != item.state.task.task_id:
+            return  # protocol guard: a stray or stale message
+        if message[0] == "start":
+            item.started = True
             worker.deadline = time.monotonic() + self.settings.task_timeout
-            return
-        if kind != "done":  # pragma: no cover - protocol guard
-            return
-        _, task_id, status, elapsed = message
-        item = next(
-            (i for i in worker.assigned if i.state.task.task_id == task_id),
-            None,
-        )
-        if item is None:  # pragma: no cover - protocol guard
-            return
-        worker.assigned.remove(item)
-        worker.deadline = (
-            time.monotonic() + self.settings.task_timeout
-            if worker.assigned
-            else None
-        )
-        state = item.state
-        state.attempts = item.attempt
-        state.tries_this_run += 1
-        if status == "ok":
-            failure = self._complete(state, report, elapsed)
-        else:
-            failure = self._error_failure(
-                state, item.attempt, "worker task raised"
-            )
-        if failure is not None:
-            requeue = self._fail_attempt(state, report, failure)
-            if requeue is not None:
-                queue.append(requeue)
+        elif message[0] == "done":
+            _, _task_id, status, elapsed = message
+            worker.in_flight = None
+            worker.deadline = None
+            self._settle_done(item, status == "ok", elapsed, queue, report)
 
     def _drain(
         self,
@@ -741,31 +721,21 @@ class CampaignRunner:
         except (EOFError, OSError):
             pass  # death is settled by the reaper
 
-    def _fail_in_flight(
+    def _lose_worker(
         self,
+        workers: List[_PoolWorker],
         worker: _PoolWorker,
         queue: List[_TaskState],
         report: CampaignReport,
         kind: str,
         detail: str,
     ) -> None:
-        """Settle a dead/overdue worker's task: charge it if started,
-        requeue it without consuming an attempt if not."""
-        for item in worker.assigned:
-            state = item.state
-            if not item.started:
-                queue.append(state)
-                continue
-            state.attempts = item.attempt
-            state.tries_this_run += 1
-            failure = AttemptFailure(
-                state.task.task_id, item.attempt, kind, detail
-            )
-            requeue = self._fail_attempt(state, report, failure)
-            if requeue is not None:
-                queue.append(requeue)
-        worker.assigned.clear()
-        worker.deadline = None
+        """Settle a dead/overdue worker's task and retire the worker."""
+        if worker.in_flight is not None:
+            self._settle_lost(worker.in_flight, queue, report, kind, detail)
+        workers.remove(worker)
+        self._retire_worker(worker, kill=False)
+        report.worker_respawns += 1
 
     def _reap_dead(
         self,
@@ -778,15 +748,11 @@ class CampaignRunner:
                 continue
             # Messages sent before death still count.
             self._drain(worker, queue, report)
-            if worker.assigned:
-                exitcode = worker.process.exitcode
-                self._fail_in_flight(
-                    worker, queue, report,
-                    CRASH, f"pool worker died with exit code {exitcode}",
-                )
-            workers.remove(worker)
-            self._retire_worker(worker, kill=False)
-            report.worker_respawns += 1
+            self._lose_worker(
+                workers, worker, queue, report,
+                CRASH,
+                f"pool worker died with exit code {worker.process.exitcode}",
+            )
 
     def _enforce_deadlines(
         self,
@@ -802,21 +768,18 @@ class CampaignRunner:
             if worker.deadline is None or time.monotonic() < worker.deadline:
                 continue  # progress arrived while draining
             self._kill(worker.process)
-            self._fail_in_flight(
-                worker, queue, report,
+            self._lose_worker(
+                workers, worker, queue, report,
                 TIMEOUT,
                 f"exceeded {self.settings.task_timeout:g}s deadline",
             )
-            workers.remove(worker)
-            self._retire_worker(worker, kill=False)
-            report.worker_respawns += 1
 
     def _run_pool(
         self, queue: List[_TaskState], report: CampaignReport
     ) -> None:
         workers: List[_PoolWorker] = []
         try:
-            while queue or any(w.assigned for w in workers):
+            while queue or not all(w.idle for w in workers):
                 if self._stop_requested(report):
                     break
                 now = time.monotonic()
@@ -861,10 +824,8 @@ class CampaignRunner:
         """Persist this invocation's scheduler/storage counters.
 
         One ``repro-run/1`` RunRecord (kind ``campaign-health``) in a
-        checksummed envelope: the exact document ``repro export`` and
-        ``repro status`` read back, and the one the service's streaming
-        ``/metrics`` endpoint re-exports — file and socket telemetry
-        agree because they are the same record.
+        checksummed envelope: the exact document ``repro export`` (its
+        ``--format prom`` included) and ``repro status`` read back.
         """
         from ..fsio.health import HEALTH
         from ..metrics.record import RunRecord

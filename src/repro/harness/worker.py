@@ -25,8 +25,8 @@ pipe, which is why sharded campaigns inherit every chaos and
 durability guarantee the local pool proves.
 
 Pool workers speak a tiny message protocol over their pipe:
-``("run", [payload_json])`` (the scheduler sends one task per
-message) and ``("exit",)`` inbound;
+``("run", payload_json)`` (one task per message; a worker holds at
+most one in flight) and ``("exit",)`` inbound;
 ``("start", task_id, monotonic)`` — the heartbeat that arms the
 scheduler's per-task deadline — and ``("done", task_id, status,
 elapsed_seconds)`` outbound.
@@ -209,21 +209,20 @@ def pool_worker_entry(conn) -> None:
             break
         if message[0] != "run":  # pragma: no cover - protocol guard
             continue
-        for payload_json in message[1]:
-            payload = json.loads(payload_json)
-            started = time.monotonic()
-            try:
-                conn.send(("start", payload["task_id"], started))
-            except (BrokenPipeError, OSError):
-                return
-            ok = run_attempt(payload)
-            elapsed = time.monotonic() - started
-            try:
-                conn.send(
-                    ("done", payload["task_id"], "ok" if ok else "error", elapsed)
-                )
-            except (BrokenPipeError, OSError):
-                return
+        payload = json.loads(message[1])
+        started = time.monotonic()
+        try:
+            conn.send(("start", payload["task_id"], started))
+        except (BrokenPipeError, OSError):
+            return
+        ok = run_attempt(payload)
+        elapsed = time.monotonic() - started
+        try:
+            conn.send(
+                ("done", payload["task_id"], "ok" if ok else "error", elapsed)
+            )
+        except (BrokenPipeError, OSError):
+            return
     try:
         conn.close()
     except OSError:  # pragma: no cover

@@ -119,8 +119,8 @@ def _records_from_campaign(directory: Path) -> List[RunRecord]:
             record.meta.setdefault("campaign_scale", manifest.scale)
             records.append(record)
     # The campaign health record (scheduler.* / storage.* counters plus
-    # per-shard wall clocks) rides along when present, so the file
-    # exporter and the service's /metrics endpoint read the same spine.
+    # per-shard wall clocks) rides along when present, so every export
+    # format (``--format prom`` included) reads the same spine.
     from ..harness.scheduler import HEALTH_RECORD_NAME
 
     health_path = directory / HEALTH_RECORD_NAME
@@ -354,7 +354,7 @@ def _registry_drift_errors(registry: MetricRegistry = REGISTRY) -> List[str]:
             )
     # The campaign health record is built by collect()ing these two
     # layers straight off their producing objects, so a renamed field
-    # there must show up here, not as a silent zero in /metrics.
+    # there must show up here, not as a silent zero in an export.
     from ..fsio.health import StorageHealth
     from ..harness.scheduler import CampaignReport
 

@@ -7,14 +7,15 @@ result cache — and runs it on its local worker pool by default.  With
 owns only *where* attempts execute: ``repro serve-worker`` processes
 reached over sockets, local or remote.
 
-The sharded loop is a line-for-line sibling of the pool loop: the
-same ``start``/``done`` contract, the same per-shard deadline arming,
-the same settle rules — a dead shard's *started* tasks are charged a
-crash attempt and retried, its *unstarted* tasks requeue to survivors
-without consuming an attempt.  Completion, verification, caching and
-manifest updates all go through the runner's own ``_complete`` /
-``_fail_attempt`` helpers, which is why a sharded campaign's results
-directory is byte-identical to a single-pool run's.
+The sharded loop is a sibling of the pool loop: the same
+``start``/``done`` contract, one task in flight per shard, the same
+per-shard deadline arming.  Both settle through the runner's own
+``_settle_done`` / ``_settle_lost`` helpers — a dead shard's *started*
+task is charged a crash attempt and retried, its *unstarted* task
+requeues to a survivor without consuming an attempt — and completion,
+verification, caching and manifest updates all happen there, which is
+why a sharded campaign's results directory is byte-identical to a
+single-pool run's.
 
 Every shard outcome is recorded in ``shards.json`` (a checksummed
 ``repro-shard-manifest/1`` envelope in the campaign directory) and
@@ -27,10 +28,10 @@ from __future__ import annotations
 import select
 import socket
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..harness.errors import CRASH, TIMEOUT, AttemptFailure
+from ..harness.errors import CRASH, TIMEOUT
 from .protocol import (
     LineReader,
     ProtocolError,
@@ -39,6 +40,9 @@ from .protocol import (
     send_message,
 )
 from .shard import parse_endpoint
+
+if TYPE_CHECKING:
+    from ..harness.scheduler import _PoolTask
 
 #: Per-shard outcome roster written to ``<campaign>/shards.json``.
 SHARD_MANIFEST_SCHEMA = "repro-shard-manifest/1"
@@ -59,7 +63,7 @@ class _Shard:
     sock: socket.socket
     reader: LineReader
     pid: Optional[int] = None
-    assigned: List = field(default_factory=list)  # of scheduler._PoolTask
+    in_flight: Optional[_PoolTask] = None
     deadline: Optional[float] = None
     connected_at: float = 0.0
     released_at: Optional[float] = None
@@ -69,7 +73,7 @@ class _Shard:
 
     @property
     def idle(self) -> bool:
-        return not self.assigned
+        return self.in_flight is None
 
     def wall_seconds(self, now: float) -> float:
         end = self.released_at if self.released_at is not None else now
@@ -172,49 +176,22 @@ class ShardedDispatcher:
 
     # -- per-message settle (the pool's _on_message, dict-framed) -------
     def _on_message(self, runner, shard, message, queue, report) -> None:
+        item = shard.in_flight
+        if item is None or message.get("task_id") != item.state.task.task_id:
+            return  # protocol guard: a stray or stale message
         kind = message.get("type")
         if kind == "start":
-            task_id = message.get("task_id")
-            for item in shard.assigned:
-                if item.state.task.task_id == task_id:
-                    item.started = True
-                    break
+            item.started = True
             shard.deadline = time.monotonic() + runner.settings.task_timeout
-            runner._event(
-                "unit_start", task_id=task_id, shard=shard.shard_id
+        elif kind == "done":
+            elapsed = float(message.get("elapsed") or 0.0)
+            shard.in_flight = None
+            shard.deadline = None
+            shard.tasks_done += 1
+            shard.busy_seconds += elapsed
+            runner._settle_done(
+                item, message.get("status") == "ok", elapsed, queue, report
             )
-            return
-        if kind != "done":  # pragma: no cover - protocol guard
-            return
-        task_id = message.get("task_id")
-        item = next(
-            (i for i in shard.assigned if i.state.task.task_id == task_id),
-            None,
-        )
-        if item is None:  # pragma: no cover - protocol guard
-            return
-        shard.assigned.remove(item)
-        shard.deadline = (
-            time.monotonic() + runner.settings.task_timeout
-            if shard.assigned
-            else None
-        )
-        elapsed = float(message.get("elapsed") or 0.0)
-        shard.tasks_done += 1
-        shard.busy_seconds += elapsed
-        state = item.state
-        state.attempts = item.attempt
-        state.tries_this_run += 1
-        if message.get("status") == "ok":
-            failure = runner._complete(state, report, elapsed)
-        else:
-            failure = runner._error_failure(
-                state, item.attempt, "worker task raised"
-            )
-        if failure is not None:
-            requeue = runner._fail_attempt(state, report, failure)
-            if requeue is not None:
-                queue.append(requeue)
 
     def _drain(self, runner, shard, queue, report) -> None:
         """Process every complete message this shard has delivered."""
@@ -231,32 +208,18 @@ class ShardedDispatcher:
         """Settle a dead/overdue shard's task with zero loss.
 
         Exactly the pool's rules: messages flushed before death are
-        honoured first (the drain), then *started* tasks are charged a
-        failed attempt and retried, *unstarted* tasks requeue with no
-        attempt consumed.
+        honoured first (the drain), then the runner's ``_settle_lost``
+        charges a *started* task a failed attempt and requeues an
+        *unstarted* one with no attempt consumed.
         """
         self._drain(runner, shard, queue, report)
-        for item in shard.assigned:
-            state = item.state
-            if not item.started:
-                queue.append(state)
-                continue
-            state.attempts = item.attempt
-            state.tries_this_run += 1
-            failure = AttemptFailure(
-                state.task.task_id, item.attempt, kind, detail
-            )
-            requeue = runner._fail_attempt(state, report, failure)
-            if requeue is not None:
-                queue.append(requeue)
-        shard.assigned.clear()
+        if shard.in_flight is not None:
+            runner._settle_lost(shard.in_flight, queue, report, kind, detail)
+        shard.in_flight = None
         shard.deadline = None
         shard.died = detail
         shard.released_at = time.monotonic()
         report.shard_deaths += 1
-        runner._event(
-            "shard_dead", shard=shard.shard_id, reason=detail
-        )
         runner.progress(f"shard {shard.shard_id} lost ({detail}); requeued")
         try:
             shard.sock.close()
@@ -273,15 +236,17 @@ class ShardedDispatcher:
         try:
             send_message(
                 shard.sock,
-                {"type": "run",
-                 "payloads": [runner._payload(state, item.attempt)]},
+                {
+                    "type": "run",
+                    "payload": runner._payload(state, item.attempt),
+                },
             )
         except OSError:
             # Shard died between accept and first dispatch; requeue
             # untouched — the reaper pass collects the corpse.
             queue.append(state)
             return
-        shard.assigned.append(item)
+        shard.in_flight = item
         shard.deadline = now + runner.settings.task_timeout
 
     def _dispatch(self, runner, fleet, queue, now) -> None:
@@ -303,16 +268,9 @@ class ShardedDispatcher:
             f"sharded dispatch: {len(fleet)} shards "
             f"({', '.join(s.shard_id for s in fleet)})"
         )
-        for shard in fleet:
-            runner._event(
-                "shard_up",
-                shard=shard.shard_id,
-                endpoint=shard.endpoint,
-                pid=shard.pid,
-            )
         self._write_shard_manifest(runner, fleet, lost)
         try:
-            while queue or any(s.assigned for s in fleet):
+            while queue or not all(s.idle for s in fleet):
                 if runner._stop_requested(report):
                     break
                 now = time.monotonic()

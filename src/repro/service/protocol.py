@@ -1,19 +1,20 @@
-"""Wire protocol of the campaign service: JSON lines over a socket.
+"""Wire protocol of sharded dispatch: JSON lines over a socket.
 
-Every connection in the service — controller to shard, client to
-server — speaks the same framing: one JSON object per ``\\n``-terminated
-line, UTF-8, no newlines inside a message (``json.dumps`` without
-``indent`` guarantees that).  The framing is deliberately primitive:
-it survives partial reads, needs no length prefix bookkeeping, and a
-human can drive a shard with ``nc`` when debugging.
+Every controller-to-shard connection speaks the same framing: one JSON
+object per ``\\n``-terminated line, UTF-8, no newlines inside a
+message (``json.dumps`` without ``indent`` guarantees that).  The
+framing is deliberately primitive: it survives partial reads, needs no
+length prefix bookkeeping, and a human can drive a shard with ``nc``
+when debugging.
 
 Message vocabulary (the ``type`` field):
 
 controller → shard
-    ``run``       — ``{"type": "run", "payloads": ["<json>", ...]}``;
-                    each payload is a serialised worker attempt, the
-                    exact string :func:`repro.harness.worker.build_payload`
-                    produces for the local pool.
+    ``run``       — ``{"type": "run", "payload": "<json>"}``: one
+                    serialised worker attempt, the exact string
+                    :func:`repro.harness.worker.build_payload` produces
+                    for the local pool.  A shard holds at most one task
+                    in flight.
     ``exit``      — end this controller session; with ``"shutdown":
                     true`` the shard process terminates instead of
                     accepting the next controller.
@@ -23,11 +24,6 @@ shard → controller
     ``start``     — per-task heartbeat; arms the controller deadline.
     ``done``      — task verdict: ``status`` is ``ok`` or ``error``,
                     ``elapsed`` is in-shard wall seconds.
-
-client → server (see :mod:`~repro.service.server` for semantics)
-    ``submit`` / ``status`` / ``jobs`` / ``watch`` / ``resume`` /
-    ``metrics`` — one request object, one response object (``watch``
-    streams event lines before its terminal response).
 
 The helpers here never interpret messages; they only frame them.
 :class:`LineReader` buffers a non-blocking socket so the sharded
@@ -42,8 +38,8 @@ import json
 import socket
 from typing import Any, Dict, List, Optional
 
-#: Cap on one framed message (a batch of task payloads is well under
-#: this; anything bigger is a corrupt or hostile peer).
+#: Cap on one framed message (a task payload is well under this;
+#: anything bigger is a corrupt or hostile peer).
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
 
 
@@ -77,7 +73,7 @@ def recv_message(
 ) -> Optional[Dict[str, Any]]:
     """Receive the next message, ``None`` on clean EOF.
 
-    Convenience wrapper for blocking callers (shards, clients); the
+    Convenience wrapper for blocking callers (shards, the handshake); the
     dispatcher uses :class:`LineReader` directly under ``select``.
     """
     line = reader.readline(timeout=timeout)

@@ -14,13 +14,13 @@ A shard's lifecycle:
    ``repro-shard-announce/1`` envelope with the endpoint and pid, so
    controllers (and ``repro doctor``) can find and audit it;
 3. accept one controller at a time; speak the line protocol:
-   ``hello`` out, then for every ``run`` batch a ``start`` heartbeat
-   and a ``done`` verdict per payload — the exact contract of the
-   local pool's pipe protocol, so the scheduler's deadline, retry and
-   zero-loss machinery carries over unchanged;
+   ``hello`` out, then for every ``run`` message (one task payload) a
+   ``start`` heartbeat and a ``done`` verdict — the exact contract of
+   the local pool's pipe protocol, so the scheduler's deadline, retry
+   and zero-loss machinery carries over unchanged;
 4. when the controller disconnects, loop back to ``accept`` — a shard
-   *outlives* controller sessions, which is what makes ``repro
-   submit`` against a standing service work;
+   *outlives* controller sessions, so one standing fleet serves any
+   number of ``repro campaign --shards`` runs;
 5. exit on an ``exit`` message with ``"shutdown": true`` (or a kill).
 
 Execution reuses :func:`repro.harness.worker.run_attempt` verbatim:
@@ -30,7 +30,7 @@ artefacts are byte-identical to a single-pool run's.
 
 Fault drills use the ``REPRO_SHARD_KILL_AT`` environment variable —
 ``<stage>:<n>`` hard-kills the shard at its *n*-th (1-based) passage
-through ``connect`` (controller accepted), ``run`` (batch received),
+through ``connect`` (controller accepted), ``run`` (payload received),
 ``start`` (heartbeat sent; task charged) or ``done`` (verdict sent).
 The kill-at-every-stage test walks all of them and asserts the merged
 campaign output stays byte-identical with zero lost units.
@@ -140,45 +140,38 @@ def _serve_session(
         kind = message["type"]
         if kind == "exit":
             return bool(message.get("shutdown"))
-        if kind == "ping":
-            try:
-                send_message(conn, {"type": "pong"})
-            except OSError:
-                return False
-            continue
         if kind != "run":
             continue  # future-proofing: unknown types are ignored
         kill.passed("run")
-        for payload_json in message.get("payloads", ()):
-            payload = json.loads(payload_json)
-            started = time.monotonic()
-            try:
-                send_message(
-                    conn,
-                    {
-                        "type": "start",
-                        "task_id": payload["task_id"],
-                        "clock": started,
-                    },
-                )
-            except OSError:
-                return False
-            kill.passed("start")
-            ok = run_attempt(payload)
-            elapsed = time.monotonic() - started
-            try:
-                send_message(
-                    conn,
-                    {
-                        "type": "done",
-                        "task_id": payload["task_id"],
-                        "status": "ok" if ok else "error",
-                        "elapsed": elapsed,
-                    },
-                )
-            except OSError:
-                return False
-            kill.passed("done")
+        payload = json.loads(message["payload"])
+        started = time.monotonic()
+        try:
+            send_message(
+                conn,
+                {
+                    "type": "start",
+                    "task_id": payload["task_id"],
+                    "clock": started,
+                },
+            )
+        except OSError:
+            return False
+        kill.passed("start")
+        ok = run_attempt(payload)
+        elapsed = time.monotonic() - started
+        try:
+            send_message(
+                conn,
+                {
+                    "type": "done",
+                    "task_id": payload["task_id"],
+                    "status": "ok" if ok else "error",
+                    "elapsed": elapsed,
+                },
+            )
+        except OSError:
+            return False
+        kill.passed("done")
 
 
 def serve_worker(

@@ -1,4 +1,4 @@
-"""Service layer: wire protocol, shard fleets, chaos, events, bench gates."""
+"""Sharded dispatch: wire protocol, shard fleets, chaos, CLI, bench gates."""
 
 import json
 import socket
@@ -11,18 +11,12 @@ from repro.bench.service import (
     _results_digest,
     service_floor_errors,
 )
+from repro.cli import main
 from repro.harness import CampaignSettings, run_campaign
 from repro.service.dispatch import (
     SHARD_MANIFEST_NAME,
     ShardedDispatcher,
     ShardError,
-)
-from repro.service.events import (
-    EVENT_SCHEMA,
-    EventLog,
-    EventLogError,
-    read_events,
-    scan_events,
 )
 from repro.service.protocol import (
     LineReader,
@@ -37,10 +31,10 @@ from repro.service.shard import KILL_AT_ENV, LocalShardSet, _KillSwitch, parse_e
 # protocol framing
 
 def test_message_roundtrip():
-    line = encode_message({"type": "run", "payloads": ["a", "b"]})
+    line = encode_message({"type": "run", "payload": "a"})
     assert line.endswith(b"\n")
     assert decode_message(line.rstrip(b"\n")) == {
-        "type": "run", "payloads": ["a", "b"],
+        "type": "run", "payload": "a",
     }
 
 
@@ -104,66 +98,6 @@ def test_kill_switch_parses_and_validates(monkeypatch):
             _KillSwitch.from_env()
     monkeypatch.delenv(KILL_AT_ENV)
     assert _KillSwitch.from_env().stage is None
-
-
-# ----------------------------------------------------------------------
-# the event log
-
-def test_event_log_roundtrip_and_seq_continuation(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with EventLog(path) as log:
-        first = log.append({"event": "job_started"})
-        log.append({"event": "unit_done", "task_id": "t1"})
-    assert first["seq"] == 0 and "ts" in first
-    events = read_events(path)
-    assert [e["event"] for e in events] == ["job_started", "unit_done"]
-    # Reopening continues the sequence (job resume).
-    with EventLog(path) as log:
-        third = log.append({"event": "job_done"})
-    assert third["seq"] == 2
-    assert [e["seq"] for e in read_events(path)] == [0, 1, 2]
-
-
-def test_event_log_lines_are_envelopes(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with EventLog(path) as log:
-        log.append({"event": "x"})
-    line = json.loads(path.read_text().splitlines()[0])
-    assert line["schema"] == EVENT_SCHEMA
-    assert "sha256" in line
-
-
-def test_event_log_torn_tail_is_survivable(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with EventLog(path) as log:
-        log.append({"event": "a"})
-        log.append({"event": "b"})
-    with open(path, "ab") as fh:
-        fh.write(b'{"schema": "repro-service-event/1", "torn')  # no newline
-    events, tail_defect = scan_events(path)
-    assert [e["event"] for e in events] == ["a", "b"]
-    assert tail_defect is not None and "unparsable" in tail_defect
-    # Non-strict read drops the debris; strict raises.
-    assert len(read_events(path)) == 2
-    with pytest.raises(EventLogError):
-        read_events(path, strict=True)
-
-
-def test_event_log_middle_corruption_is_an_error(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with EventLog(path) as log:
-        log.append({"event": "a"})
-        log.append({"event": "b"})
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[0] = b'{"not": "an envelope"}\n'
-    path.write_bytes(b"".join(lines))
-    with pytest.raises(EventLogError):
-        scan_events(path)
-
-
-def test_event_log_missing_file_is_empty(tmp_path):
-    events, tail = scan_events(tmp_path / "absent.jsonl")
-    assert events == [] and tail is None
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +279,32 @@ def test_two_shard_chaos_with_disk_faults(tmp_path):
     assert report.ok
     assert report.completed == report.total
     assert _result_bytes(tmp_path / "camp") == reference
+
+
+# ----------------------------------------------------------------------
+# CLI surface
+
+def test_cli_status_reports_campaign_and_shards(tmp_path, capsys):
+    with LocalShardSet(2, tmp_path / "fleet") as fleet:
+        run_campaign(
+            tmp_path / "camp",
+            scale="smoke",
+            experiments=("tables",),
+            settings=CampaignSettings(shards=fleet.endpoints, retries=0),
+        )
+    assert main(["status", str(tmp_path / "camp")]) == 0
+    out = capsys.readouterr().out
+    assert "complete" in out
+    assert "shard-0" in out and "shard-1" in out
+    assert "last run:" in out and "completed=" in out
+
+
+def test_cli_campaign_rejects_bad_shard_specs(tmp_path):
+    assert main([
+        "campaign", "--out", str(tmp_path / "camp"),
+        "--scale", "smoke",
+        "--shards", "nonsense",
+    ]) == 2
 
 
 # ----------------------------------------------------------------------
