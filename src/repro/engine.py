@@ -164,7 +164,15 @@ class Workload:
 
 @dataclass
 class EpochRecord:
-    """Per-epoch LLC activity (feeds Fig. 8 and the dueling analysis)."""
+    """Per-epoch LLC activity (feeds Fig. 8 and the dueling analysis).
+
+    An epoch ending at or before the warmup boundary is closed on the
+    counters it accumulated, before the stats reset, and is not
+    ``after_warmup``.  An epoch that straddles the boundary (fractional
+    warmup) is ``after_warmup`` and reports only its post-reset part,
+    so the ``after_warmup`` epochs sum to the headline counters
+    whenever the run ends on an epoch boundary.
+    """
 
     index: int
     end_cycle: float
@@ -395,14 +403,23 @@ class Simulation:
                     # Structural boundary bookkeeping — rare, so timing
                     # it exactly costs one comparison per burst.
                     t0 = perf()
-                    if not warmed and now >= warmup_cycles:
-                        hierarchy.reset_stats()
-                        epoch_snap = hierarchy.stats.llc.snapshot()
-                        for i, core in enumerate(cores):
-                            base_instr[i] = core.instructions
-                            base_cycles[i] = core.cycles
-                        warmed = True
-                    while now >= next_epoch:
+                    while True:
+                        # Epochs ending at or before the warmup boundary
+                        # close on the pre-reset counters; the reset
+                        # comes before any epoch that ends after it.
+                        if (
+                            not warmed
+                            and now >= warmup_cycles
+                            and next_epoch > warmup_cycles
+                        ):
+                            hierarchy.reset_stats()
+                            epoch_snap = hierarchy.stats.llc.snapshot()
+                            for i, core in enumerate(cores):
+                                base_instr[i] = core.instructions
+                                base_cycles[i] = core.cycles
+                            warmed = True
+                        if now < next_epoch:
+                            break
                         llc_stats = hierarchy.stats.llc
                         delta = llc_stats.delta_since(epoch_snap)
                         winner = self.policy.current_cpth()  # CP_th this epoch

@@ -27,7 +27,7 @@ __all__ = [
 
 #: Schema version of the memoized payloads themselves; bump to shed
 #: every existing cache entry without touching the goldens.
-MEMO_SCHEMA = "repro-memo/1"
+MEMO_SCHEMA = "repro-memo/2"
 
 #: Copy of tests/goldens/determinism.json (see module docstring).
 EMBEDDED_GOLDEN_DIGESTS = {

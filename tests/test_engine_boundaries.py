@@ -5,7 +5,8 @@ import pytest
 from repro.config import SystemConfig
 from repro.core import make_policy
 from repro.engine import Simulation
-from repro.experiments.common import SMOKE
+from repro.experiments.common import SMOKE, run_one
+from repro.memo.snapshots import SNAPSHOT_MEMO_ENV, reset_shared_snapshot_store
 
 
 def sim_for(policy="cp_sd"):
@@ -51,6 +52,34 @@ def test_warmup_resets_only_once():
     # measured stats cover roughly two epochs of accesses, not three
     assert res.cycles == pytest.approx(2 * epoch)
     assert res.stats.llc.accesses > 0
+
+
+def test_epoch_ending_at_warmup_keeps_its_counts(monkeypatch):
+    """The last warmup epoch closes on its counters before the reset.
+
+    bh on smoke mix1 with a 2-epoch warmup used to record epoch 1 with
+    zero hits and zero NVM bytes: the stats reset at the warmup
+    boundary ran before that epoch was closed.  The cold run, the
+    split warmup-prefix run and the snapshot-restored run must agree.
+    """
+    def run():
+        return run_one(
+            SMOKE.system(), make_policy("bh"), SMOKE.workload("mix1"), 2.0, 2.0
+        )
+
+    monkeypatch.setenv(SNAPSHOT_MEMO_ENV, "0")
+    cold = run()
+    monkeypatch.setenv(SNAPSHOT_MEMO_ENV, "1")
+    reset_shared_snapshot_store()
+    split, restored = run(), run()
+    assert split.epochs == cold.epochs == restored.epochs
+
+    epochs = cold.epochs
+    assert [e.after_warmup for e in epochs] == [False, False, True, True]
+    assert epochs[1].hits > 0 and epochs[1].nvm_bytes_written > 0
+    measured = [e for e in epochs if e.after_warmup]
+    assert sum(e.nvm_bytes_written for e in measured) == cold.nvm_bytes_written
+    assert sum(e.hits for e in measured) == cold.llc_hits
 
 
 def test_record_epochs_false_suppresses_records():
