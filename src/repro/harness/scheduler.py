@@ -449,8 +449,10 @@ class CampaignRunner:
         state: _TaskState,
         report: CampaignReport,
         failure: AttemptFailure,
-    ) -> Optional[_TaskState]:
-        """Record a failed attempt; return the state to requeue, if any."""
+        queue: List[_TaskState],
+    ) -> None:
+        """Record a failed attempt; requeue the task while its retry
+        budget lasts."""
         task = state.task
         state.failures.append(failure)
         self._scrub_bad_result(task)
@@ -465,7 +467,7 @@ class CampaignRunner:
                 f"FAILED {task.task_id} after {state.attempts} attempts "
                 f"({failure.kind}: {failure.detail})"
             )
-            return None
+            return
         # Deterministic jitter (seeded like chaos) decorrelates retry
         # schedules across tasks while keeping them reproducible.
         delay = backoff_delay(
@@ -481,7 +483,7 @@ class CampaignRunner:
             f"retry {task.task_id} in {delay:.2g}s "
             f"(attempt {state.attempts} {failure.kind}: {failure.detail})"
         )
-        return state
+        queue.append(state)
 
     def _error_failure(
         self, state: _TaskState, attempt: int, detail: str
@@ -521,9 +523,7 @@ class CampaignRunner:
                 state, item.attempt, "worker task raised"
             )
         if failure is not None:
-            requeue = self._fail_attempt(state, report, failure)
-            if requeue is not None:
-                queue.append(requeue)
+            self._fail_attempt(state, report, failure, queue)
 
     def _settle_lost(
         self,
@@ -543,9 +543,7 @@ class CampaignRunner:
         state.attempts = item.attempt
         state.tries_this_run += 1
         failure = AttemptFailure(state.task.task_id, item.attempt, kind, detail)
-        requeue = self._fail_attempt(state, report, failure)
-        if requeue is not None:
-            queue.append(requeue)
+        self._fail_attempt(state, report, failure, queue)
 
     # ------------------------------------------------------------------
     # entry point

@@ -1,6 +1,6 @@
 """``repro serve-worker``: a shard process executing campaign payloads.
 
-A shard is a "host" in the service's sense: a long-lived process that
+A shard is a "host" in the dispatcher's sense: a long-lived process that
 binds a TCP endpoint, announces itself, and executes campaign task
 payloads for whichever controller connects.  N shards on N machines
 and N shards as subprocesses of one machine are indistinguishable to
